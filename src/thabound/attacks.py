@@ -37,6 +37,8 @@ class AttackModel:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        if not math.isfinite(self.mu_out):
+            raise ValueError(f"mu_out must be finite, got {self.mu_out!r}")
         if self.mu_out < 0.0:
             raise ValueError("mu_out must be >= 0")
         if self.kind == NO_ATTACK and self.mu_out != 0.0:
@@ -65,6 +67,14 @@ def coin_imbalance(mu_out: float) -> float:
     Computed as [2 sin^2(mu/2) - expm1(-mu) cos(mu)] / 2, the same value
     without the 1 - (1 - x) cancellation, so tiny mu_out keeps full
     precision (Delta ~ mu_out / 2 there).
+
+    This equals the joint-state value (1 - F) / 2, F the fidelity of the
+    basis-averaged emitted states, only for mu_out < pi/4.  Beyond that
+    F = exp(-mu) max(|cos mu|, |sin mu|) and the formula is larger, hence
+    conservative.  No rate depends on the difference: there both values
+    are at least 0.339, so Delta' = Delta / Y >= Delta is above
+    sin^2(pi/8) and the general-attack phase error is clamped to 1/2
+    either way (on the preset channel Delta' >= 1/2 outright).
     """
     if mu_out < 0.0:
         raise ValueError("mu_out must be >= 0")

@@ -34,6 +34,10 @@ class ChannelParams:
     f_ec: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha_db_per_km", "f_ec"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha_db_per_km < 0.0:
             raise ValueError("alpha_db_per_km must be >= 0")
         probability(self.eta_det)
@@ -57,6 +61,8 @@ class SourceModel:
         elif self.kind == DECOY:
             if self.s is None or not self.s > 0.0:
                 raise ValueError("decoy source needs signal intensity s > 0")
+            if not math.isfinite(self.s):
+                raise ValueError(f"s must be finite, got {self.s!r}")
         else:
             raise ValueError(f"unknown source kind {self.kind!r}")
 
@@ -72,15 +78,6 @@ def single_photon() -> SourceModel:
 
 def decoy_state(s: float) -> SourceModel:
     return SourceModel(DECOY, s)
-
-
-def source_from_label(label: str) -> SourceModel:
-    """Inverse of SourceModel.label()."""
-    if label == SINGLE_PHOTON:
-        return single_photon()
-    if label.startswith(DECOY + ":"):
-        return decoy_state(float(label.split(":", 1)[1]))
-    raise ValueError(f"unknown source label {label!r}")
 
 
 @dataclass(frozen=True)

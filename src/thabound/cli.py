@@ -31,7 +31,6 @@ from thabound.channel import (
     SourceModel,
     decoy_state,
     single_photon,
-    source_from_label,
 )
 from thabound.characterize import (
     TraceParseError,
@@ -42,7 +41,6 @@ from thabound.keyrate import (
     NoPositiveRateError,
     max_distance,
     mu_out_threshold,
-    rate_at,
     sweep_distance,
     verify_convexity,
 )
@@ -62,42 +60,9 @@ class UsageError(Exception):
     """Bad command line; mapped to exit code 1."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Everything a sweep or threshold run needs, JSON-serializable."""
-
-    channel: ChannelParams
-    source: SourceModel
-    attacks: tuple[AttackModel, ...]
-    sweep: tuple[float, float, float]
-    output_path: str
-
-    def to_dict(self) -> dict:
-        source = {"kind": self.source.kind}
-        if self.source.kind == DECOY:
-            source["s"] = self.source.s
-        return {
-            "channel": {
-                "alpha_db_per_km": self.channel.alpha_db_per_km,
-                "eta_det": self.channel.eta_det,
-                "e_opt": self.channel.e_opt,
-                "p_dark": self.channel.p_dark,
-                "f_ec": self.channel.f_ec,
-            },
-            "source": source,
-            "attacks": [
-                {"kind": a.kind, "mu_out": a.mu_out} for a in self.attacks
-            ],
-            "sweep": {
-                "l_min_km": self.sweep[0],
-                "l_max_km": self.sweep[1],
-                "step_km": self.sweep[2],
-            },
-            "output_path": self.output_path,
-        }
-
-
-def config_from_dict(data: dict) -> RunConfig:
+def config_from_json(text: str) -> tuple:
+    """(channel, source, attacks, sweep, output_path) from a JSON config."""
+    data = json.loads(text)
     try:
         channel = ChannelParams(**data["channel"])
         source_data = data["source"]
@@ -111,21 +76,12 @@ def config_from_dict(data: dict) -> RunConfig:
         sweep_data = data["sweep"]
         sweep = (float(sweep_data["l_min_km"]), float(sweep_data["l_max_km"]),
                  float(sweep_data["step_km"]))
-        return RunConfig(channel, source, attack_list, sweep,
-                         str(data["output_path"]))
+        return channel, source, attack_list, sweep, str(data["output_path"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad config: {exc}") from None
 
 
-def config_to_json(config: RunConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2) + "\n"
-
-
-def config_from_json(text: str) -> RunConfig:
-    return config_from_dict(json.loads(text))
-
-
-def _preset_config(name: str) -> RunConfig:
+def _preset_config(name: str) -> tuple:
     general_mu = (1e-8, 1e-6, 1e-4, 1e-2)
     passive_mu = (1e-2, 1e-1, 3e-1)
     usd_mu = (1e-3, 1e-2, 3e-2)
@@ -141,8 +97,7 @@ def _preset_config(name: str) -> RunConfig:
         raise UsageError(f"unknown preset {name!r}")
     source, kind, mu_values = table[name]
     attack_list = (no_attack(),) + tuple(AttackModel(kind, mu) for mu in mu_values)
-    return RunConfig(PRESET_CHANNEL, source, attack_list, PRESET_SWEEP,
-                     f"{name}.csv")
+    return PRESET_CHANNEL, source, attack_list, PRESET_SWEEP, f"{name}.csv"
 
 
 PRESET_NAMES = ("fig3", "fig4", "fig9", "fig10", "fig11", "fig12")
@@ -186,50 +141,47 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f-ec", type=float, metavar="F")
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+CHANNEL_FIELDS = ("alpha_db_per_km", "eta_det", "e_opt", "p_dark", "f_ec")
+
+
+def _resolve_config(args: argparse.Namespace) -> tuple:
+    """(channel, source, attacks, sweep, output_path) of a sweep or threshold.
+
+    Starts from the preset, the --config file or the defaults, then applies
+    every override flag that was given.
+    """
     if args.preset:
-        config = _preset_config(args.preset)
+        channel, source, attack_list, sweep, output_path = _preset_config(args.preset)
     elif args.config:
         with open(args.config, encoding="utf-8") as handle:
-            config = config_from_json(handle.read())
+            channel, source, attack_list, sweep, output_path = config_from_json(
+                handle.read())
     else:
-        config = RunConfig(PRESET_CHANNEL, single_photon(), (),
-                           PRESET_SWEEP, "sweep.csv")
+        channel, source, attack_list, sweep, output_path = (
+            PRESET_CHANNEL, single_photon(), (), PRESET_SWEEP, "sweep.csv")
 
-    channel_fields = {}
-    for field in ("alpha_db_per_km", "eta_det", "e_opt", "p_dark", "f_ec"):
-        value = getattr(args, field)
-        if value is not None:
-            channel_fields[field] = value
-    if channel_fields:
-        config = dataclasses.replace(
-            config, channel=dataclasses.replace(config.channel, **channel_fields))
+    overrides = [getattr(args, field) for field in CHANNEL_FIELDS]
+    if any(value is not None for value in overrides):
+        channel = ChannelParams(*(
+            getattr(channel, field) if value is None else value
+            for field, value in zip(CHANNEL_FIELDS, overrides)))
 
     if args.source == SINGLE_PHOTON:
-        config = dataclasses.replace(config, source=single_photon())
+        source = single_photon()
     elif args.source == DECOY:
-        if args.decoy_s is None and config.source.kind != DECOY:
+        if args.decoy_s is None and source.kind != DECOY:
             raise UsageError("--source decoy needs --decoy-s")
-        s = args.decoy_s if args.decoy_s is not None else config.source.s
-        config = dataclasses.replace(config, source=decoy_state(s))
+        source = decoy_state(args.decoy_s if args.decoy_s is not None else source.s)
     elif args.decoy_s is not None:
-        if config.source.kind != DECOY:
+        if source.kind != DECOY:
             raise UsageError("--decoy-s only applies to a decoy source")
-        config = dataclasses.replace(config, source=decoy_state(args.decoy_s))
+        source = decoy_state(args.decoy_s)
 
     if args.attack_list:
-        config = dataclasses.replace(config, attacks=tuple(args.attack_list))
-
-    sweep = list(config.sweep)
-    for index, name in enumerate(("l_min", "l_max", "step")):
-        value = getattr(args, name)
-        if value is not None:
-            sweep[index] = value
-    config = dataclasses.replace(config, sweep=tuple(sweep))
-
-    if args.output:
-        config = dataclasses.replace(config, output_path=args.output)
-    return config
+        attack_list = tuple(args.attack_list)
+    sweep = tuple(value if flag is None else flag
+                  for value, flag in zip(sweep, (args.l_min, args.l_max, args.step)))
+    return channel, source, attack_list, sweep, args.output or output_path
 
 
 def _fmt(value: float) -> str:
@@ -237,9 +189,9 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _sorted_attacks(config: RunConfig) -> list[AttackModel]:
+def _sorted_attacks(attack_list: tuple[AttackModel, ...]) -> list[AttackModel]:
     """Attack blocks in output order; an empty list means baseline only."""
-    entries = list(config.attacks) or [no_attack()]
+    entries = list(attack_list) or [no_attack()]
     return sorted(entries, key=lambda a: (a.kind, a.mu_out))
 
 
@@ -276,59 +228,32 @@ def _gnuplot_script(csv_path: str, blocks: list[AttackModel],
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    blocks = _sorted_attacks(config)
-    l_min, l_max, step = config.sweep
+    channel, source, attack_list, sweep, output_path = _resolve_config(args)
+    blocks = _sorted_attacks(attack_list)
 
     rows = [SWEEP_CSV_HEADER]
     for attack in blocks:
-        series = sweep_distance(config.channel, config.source, attack,
-                                l_min, l_max, step)
+        series = sweep_distance(channel, source, attack, *sweep)
         for point in series.points:
             rate_cell = _fmt(point.rate) if point.secure else "0"
             rows.append(",".join((
                 _fmt(point.length_km), _fmt(attack.mu_out), attack.kind,
-                config.source.label(), rate_cell)))
+                source.label(), rate_cell)))
 
-    with open(config.output_path, "w", encoding="utf-8", newline="\n") as handle:
+    with open(output_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")
-    script_path = os.path.splitext(config.output_path)[0] + ".gp"
+    script_path = os.path.splitext(output_path)[0] + ".gp"
     with open(script_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_gnuplot_script(config.output_path, blocks, config.source))
+        handle.write(_gnuplot_script(output_path, blocks, source))
 
-    print(f"wrote {config.output_path} ({len(rows) - 1} rows)")
+    print(f"wrote {output_path} ({len(rows) - 1} rows)")
     print(f"wrote {script_path}")
     return 0
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepRow:
-    length_km: float
-    mu_out: float
-    attack: str
-    source: str
-    rate: float
-
-
-def read_sweep_csv(path: str) -> list[SweepRow]:
-    """Re-parse a CSV produced by cmd_sweep."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
-        raise ValueError(f"{path}: not a sweep CSV (bad header)")
-    rows = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ValueError(f"{path}: bad row {line!r}")
-        rows.append(SweepRow(float(fields[0]), float(fields[1]), fields[2],
-                             fields[3], float(fields[4])))
-    return rows
-
-
 def cmd_threshold(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    entries = _sorted_attacks(config)
+    channel, source, attack_list, _, _ = _resolve_config(args)
+    entries = _sorted_attacks(attack_list)
     kinds = sorted({a.kind for a in entries})
 
     reports = []
@@ -336,19 +261,19 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         if kind == attacks_mod.NO_ATTACK:
             threshold = None
         else:
-            threshold = mu_out_threshold(config.channel, config.source, kind)
+            threshold = mu_out_threshold(channel, source, kind)
         distances = {}
         for attack in entries:
             if attack.kind != kind:
                 continue
             try:
-                km = max_distance(config.channel, config.source, attack)
+                km = max_distance(channel, source, attack)
             except NoPositiveRateError:
                 km = None
             distances[_fmt(attack.mu_out)] = km
         reports.append({
             "attack_kind": kind,
-            "source": config.source.label(),
+            "source": source.label(),
             "mu_out_threshold": threshold,
             "max_distance_at": distances,
         })
@@ -446,22 +371,29 @@ def _lidt_base_spec(args: argparse.Namespace) -> budget_mod.LidtSpec:
 
 
 def cmd_lidt(args: argparse.Namespace) -> int:
-    spec = _lidt_base_spec(args)
+    base = _lidt_base_spec(args)
+    # Every rescaling runs before the first line is printed, so a bad
+    # --pulse-width or --wavelength exits 1 with nothing on stdout.
+    spec = base
+    rescaled = []
+    if args.pulse_width is not None:
+        spec = budget_mod.lidt_scale_pulse_width(spec, args.pulse_width)
+        rescaled.append(f"flux at pulse width {args.pulse_width:.4e} s: "
+                        f"{spec.photon_flux:.4e} photons/s")
+    if args.wavelength is not None:
+        spec = budget_mod.lidt_scale_wavelength(spec, args.wavelength)
+        rescaled.append(f"flux at wavelength {args.wavelength:.4e} m: "
+                        f"{spec.photon_flux:.4e} photons/s")
+
     if args.preset is not None:
         print(f"preset: {args.preset}")
     else:
         print(f"input power: {args.power:.4e} W at {args.wavelength_m:.4e} m")
-    print(f"photon flux: {spec.photon_flux:.4e} photons/s")
-    print(f"reference pulse width: {spec.pulse_width_ref_s:.4e} s")
-    print(f"reference wavelength: {spec.wavelength_ref_m:.4e} m")
-    if args.pulse_width is not None:
-        spec = budget_mod.lidt_scale_pulse_width(spec, args.pulse_width)
-        print(f"flux at pulse width {args.pulse_width:.4e} s: "
-              f"{spec.photon_flux:.4e} photons/s")
-    if args.wavelength is not None:
-        spec = budget_mod.lidt_scale_wavelength(spec, args.wavelength)
-        print(f"flux at wavelength {args.wavelength:.4e} m: "
-              f"{spec.photon_flux:.4e} photons/s")
+    print(f"photon flux: {base.photon_flux:.4e} photons/s")
+    print(f"reference pulse width: {base.pulse_width_ref_s:.4e} s")
+    print(f"reference wavelength: {base.wavelength_ref_m:.4e} m")
+    for line in rescaled:
+        print(line)
     return 0
 
 

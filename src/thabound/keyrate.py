@@ -77,13 +77,6 @@ class RateSeries:
                 raise ValueError("insecure points must carry rate 0")
 
 
-def _observables(channel: ChannelParams, source: SourceModel,
-                 length_km: float) -> LinkObservables:
-    if source.kind == SINGLE_PHOTON:
-        return single_photon_link(channel, length_km)
-    return decoy_link(channel, length_km, source.s)
-
-
 def _privacy_factor(obs: LinkObservables, attack: AttackModel) -> float | None:
     """Per-detection privacy term, or None when the bound is vacuous."""
     if attack.kind == attacks.NO_ATTACK:
@@ -110,7 +103,10 @@ def _privacy_factor(obs: LinkObservables, attack: AttackModel) -> float | None:
 
 def key_rate(query: RateQuery) -> float:
     """Secure key rate in bits per pulse; never negative."""
-    obs = _observables(query.channel, query.source, query.length_km)
+    if query.source.kind == SINGLE_PHOTON:
+        obs = single_photon_link(query.channel, query.length_km)
+    else:
+        obs = decoy_link(query.channel, query.length_km, query.source.s)
     if obs.q1 == 0.0 and obs.q_x == 0.0:
         return 0.0
     privacy = _privacy_factor(obs, query.attack)
@@ -134,6 +130,9 @@ def sweep_distance(channel: ChannelParams, source: SourceModel,
 
     Rates below RATE_FLOOR are reported as 0 with secure=False.
     """
+    for name, value in (("l_min", l_min), ("l_max", l_max), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if step <= 0.0 or not l_min < l_max or l_min < 0.0:
         raise ValueError("empty sweep grid")
     count = int(math.floor((l_max - l_min) / step + 1e-9))
@@ -146,6 +145,29 @@ def sweep_distance(channel: ChannelParams, source: SourceModel,
         else:
             points.append(RatePoint(length, rate, True))
     return RateSeries(tuple(points))
+
+
+def _last_positive(rate_of, hi: float, rel_tol: float, abs_tol: float,
+                   no_key: str) -> float:
+    """Bisect [0, hi] for where a nonincreasing rate_of stops being positive.
+
+    Raises NoPositiveRateError(no_key) when rate_of(0) is not positive and
+    returns hi when rate_of(hi) still is.  Otherwise halves the bracket
+    until it is no wider than max(rel_tol * hi, abs_tol) and returns its
+    midpoint.
+    """
+    if rate_of(0.0) <= 0.0:
+        raise NoPositiveRateError(no_key)
+    lo = 0.0
+    if rate_of(hi) > 0.0:
+        return hi
+    while hi - lo > max(rel_tol * hi, abs_tol):
+        mid = 0.5 * (lo + hi)
+        if rate_of(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def mu_out_threshold(channel: ChannelParams, source: SourceModel,
@@ -162,18 +184,8 @@ def mu_out_threshold(channel: ChannelParams, source: SourceModel,
     def rate_of(mu: float) -> float:
         return rate_at(channel, source, AttackModel(attack_kind, mu), 0.0)
 
-    if rate_of(0.0) <= 0.0:
-        raise NoPositiveRateError("channel yields no key even without leakage")
-    lo, hi = 0.0, MU_BRACKET_HI
-    if rate_of(hi) > 0.0:
-        return hi
-    while hi - lo > max(MU_REL_TOL * hi, 1e-15):
-        mid = 0.5 * (lo + hi)
-        if rate_of(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _last_positive(rate_of, MU_BRACKET_HI, MU_REL_TOL, 1e-15,
+                          "channel yields no key even without leakage")
 
 
 def max_distance(channel: ChannelParams, source: SourceModel,
@@ -186,18 +198,8 @@ def max_distance(channel: ChannelParams, source: SourceModel,
     def rate_of(length: float) -> float:
         return rate_at(channel, source, attack, length)
 
-    if rate_of(0.0) <= 0.0:
-        raise NoPositiveRateError("no key at zero distance")
-    lo, hi = 0.0, LENGTH_BRACKET_KM
-    if rate_of(hi) > 0.0:
-        return hi
-    while hi - lo > LENGTH_TOL_KM:
-        mid = 0.5 * (lo + hi)
-        if rate_of(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _last_positive(rate_of, LENGTH_BRACKET_KM, 0.0, LENGTH_TOL_KM,
+                          "no key at zero distance")
 
 
 def verify_convexity(channel: ChannelParams, source: SourceModel,

@@ -1,8 +1,10 @@
 import pathlib
+from typing import NamedTuple
 
 import pytest
 
 from thabound.channel import ChannelParams, decoy_state, single_photon
+from thabound.cli import SWEEP_CSV_HEADER
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -25,3 +27,27 @@ def sp_source():
 @pytest.fixture
 def decoy_source():
     return decoy_state(0.5)
+
+
+class SweepRow(NamedTuple):
+    length_km: float
+    mu_out: float
+    attack: str
+    source: str
+    rate: float
+
+
+def read_sweep_csv(path) -> list[SweepRow]:
+    """Re-parse a CSV written by the sweep subcommand."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    if not lines or lines[0] != SWEEP_CSV_HEADER:
+        raise ValueError(f"{path}: not a sweep CSV (bad header)")
+    rows = []
+    for line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise ValueError(f"{path}: bad row {line!r}")
+        rows.append(SweepRow(float(fields[0]), float(fields[1]), fields[2],
+                             fields[3], float(fields[4])))
+    return rows

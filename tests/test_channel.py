@@ -7,10 +7,7 @@ from thabound.channel import (
     ChannelParams,
     SourceModel,
     decoy_link,
-    decoy_state,
-    single_photon,
     single_photon_link,
-    source_from_label,
     transmittance,
 )
 
@@ -49,14 +46,6 @@ class TestSourceModel:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             SourceModel("entangled")
-
-    def test_label_round_trip(self):
-        for source in (single_photon(), decoy_state(0.5), decoy_state(0.125)):
-            assert source_from_label(source.label()) == source
-
-    def test_bad_label(self):
-        with pytest.raises(ValueError):
-            source_from_label("laser")
 
 
 class TestTransmittance:

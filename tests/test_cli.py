@@ -4,41 +4,43 @@ import pytest
 
 from thabound.attacks import AttackModel, general_tha, no_attack
 from thabound.channel import ChannelParams, decoy_state, single_photon
-from thabound.cli import (
-    RunConfig,
-    SWEEP_CSV_HEADER,
-    config_from_json,
-    config_to_json,
-    main,
-    read_sweep_csv,
-)
+from thabound.cli import SWEEP_CSV_HEADER, config_from_json, main
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, read_sweep_csv
 
 PEAKS = str(DATA_DIR / "transmitter_peaks.csv")
+CHANNEL = ChannelParams(0.2, 0.125, 0.01, 1e-5, 1.2)
 
 
-def make_config(tmp_path, **overrides):
-    base = dict(
-        channel=ChannelParams(0.2, 0.125, 0.01, 1e-5, 1.2),
-        source=single_photon(),
-        attacks=(no_attack(), general_tha(1e-6)),
-        sweep=(0.0, 10.0, 1.0),
-        output_path=str(tmp_path / "out.csv"),
-    )
+def config_dict(tmp_path, **overrides):
+    """A JSON config as the --config flag reads it."""
+    base = {
+        "channel": {"alpha_db_per_km": 0.2, "eta_det": 0.125, "e_opt": 0.01,
+                    "p_dark": 1e-5, "f_ec": 1.2},
+        "source": {"kind": "single_photon"},
+        "attacks": [{"kind": "none", "mu_out": 0.0},
+                    {"kind": "general", "mu_out": 1e-6}],
+        "sweep": {"l_min_km": 0.0, "l_max_km": 10.0, "step_km": 1.0},
+        "output_path": str(tmp_path / "out.csv"),
+    }
     base.update(overrides)
-    return RunConfig(**base)
+    return base
 
 
 class TestConfigRoundTrip:
     def test_single_photon(self, tmp_path):
-        config = make_config(tmp_path)
-        assert config_from_json(config_to_json(config)) == config
+        config = config_from_json(json.dumps(config_dict(tmp_path)))
+        assert config == (CHANNEL, single_photon(),
+                          (no_attack(), general_tha(1e-6)), (0.0, 10.0, 1.0),
+                          str(tmp_path / "out.csv"))
 
     def test_decoy(self, tmp_path):
-        config = make_config(tmp_path, source=decoy_state(0.5),
-                             attacks=(AttackModel("usd", 3e-2),))
-        assert config_from_json(config_to_json(config)) == config
+        text = json.dumps(config_dict(
+            tmp_path, source={"kind": "decoy", "s": 0.5},
+            attacks=[{"kind": "usd", "mu_out": 3e-2}]))
+        assert config_from_json(text) == (
+            CHANNEL, decoy_state(0.5), (AttackModel("usd", 3e-2),),
+            (0.0, 10.0, 1.0), str(tmp_path / "out.csv"))
 
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError):
@@ -127,12 +129,13 @@ class TestSweepCommand:
         assert len(rows) == 4 * 201
 
     def test_config_file_input(self, tmp_path):
-        config = make_config(tmp_path, attacks=(AttackModel("passive", 0.1),),
-                             sweep=(0.0, 4.0, 2.0))
+        config = config_dict(
+            tmp_path, attacks=[{"kind": "passive", "mu_out": 0.1}],
+            sweep={"l_min_km": 0.0, "l_max_km": 4.0, "step_km": 2.0})
         path = tmp_path / "run.json"
-        path.write_text(config_to_json(config))
+        path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(path)]) == 0
-        rows = read_sweep_csv(config.output_path)
+        rows = read_sweep_csv(config["output_path"])
         assert len(rows) == 3
         assert rows[0].attack == "passive"
 
@@ -327,6 +330,13 @@ class TestLidtCommand:
         assert code == 0
         assert "1.1000e+20" in capsys.readouterr().out
 
+    def test_bad_rescaling_prints_nothing(self, capsys):
+        code = main(["lidt", "--preset", "fiber-fuse", "--wavelength", "nan"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "wavelength" in captured.err
+
     def test_power_without_wavelength_exits_one(self, capsys):
         assert main(["lidt", "--power", "2"]) == 1
 
@@ -363,3 +373,24 @@ class TestUsageErrors:
         cfg = tmp_path / "c.json"
         cfg.write_text("{}")
         assert main(["sweep", "--preset", "fig3", "--config", str(cfg)]) == 1
+
+
+class TestNonFiniteInput:
+    """NaN and infinity are rejected where they enter, before any file."""
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--attack", "general:nan"], "mu_out"),
+        (["--attack", "usd:inf"], "mu_out"),
+        (["--attack", "general:inf"], "mu_out"),
+        (["--f-ec", "nan"], "f_ec"),
+        (["--alpha-db-per-km", "inf"], "alpha_db_per_km"),
+        (["--source", "decoy", "--decoy-s", "inf"], "s must be finite"),
+        (["--l-max", "inf"], "l_max"),
+        (["--step", "nan"], "step"),
+    ])
+    def test_sweep_exits_one_without_output(self, tmp_path, capsys, flags,
+                                            field):
+        code = main(["sweep", "--output", str(tmp_path / "out.csv"), *flags])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
