@@ -21,6 +21,12 @@ MAX_ISOLATORS = 5
 ATTENUATOR_STEP_DB = 5.0
 
 
+def _require_positive(name: str, value: float) -> None:
+    # Written so that NaN and +inf fail the comparison.
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LidtSpec:
     """A laser damage threshold expressed as photon flux.
@@ -37,9 +43,9 @@ class LidtSpec:
     wavelength_ref_m: float
 
     def __post_init__(self) -> None:
-        if not (self.photon_flux > 0.0 and self.pulse_width_ref_s > 0.0
-                and self.wavelength_ref_m > 0.0):
-            raise ValueError("LidtSpec fields must be strictly positive")
+        _require_positive("photon_flux", self.photon_flux)
+        _require_positive("pulse_width_ref_s", self.pulse_width_ref_s)
+        _require_positive("wavelength_ref_m", self.wavelength_ref_m)
 
 
 def conservative_preset(bend_edge_compensation: bool = False) -> LidtSpec:
@@ -78,8 +84,7 @@ def lidt_scale_pulse_width(spec: LidtSpec, tau_new_s: float) -> LidtSpec:
     Thermal damage fluence grows as sqrt(tau), so the tolerable flux obeys
     flux(tau1) / flux(tau2) = sqrt(tau1 / tau2).
     """
-    if not tau_new_s > 0.0:
-        raise ValueError("pulse width must be > 0")
+    _require_positive("pulse width", tau_new_s)
     factor = math.sqrt(tau_new_s / spec.pulse_width_ref_s)
     return LidtSpec(photon_flux=spec.photon_flux * factor,
                     pulse_width_ref_s=tau_new_s,
@@ -92,8 +97,7 @@ def lidt_scale_wavelength(spec: LidtSpec, lambda_new_m: float) -> LidtSpec:
     Shorter wavelengths damage more easily; the flux scales as
     sqrt(lambda_new / lambda_ref).
     """
-    if not lambda_new_m > 0.0:
-        raise ValueError("wavelength must be > 0")
+    _require_positive("wavelength", lambda_new_m)
     factor = math.sqrt(lambda_new_m / spec.wavelength_ref_m)
     return LidtSpec(photon_flux=spec.photon_flux * factor,
                     pulse_width_ref_s=spec.pulse_width_ref_s,
@@ -102,8 +106,8 @@ def lidt_scale_wavelength(spec: LidtSpec, lambda_new_m: float) -> LidtSpec:
 
 def photon_flux_from_power(power_w: float, wavelength_m: float) -> float:
     """Photons per second in an optical beam: N = P lambda / (h c)."""
-    if not (power_w > 0.0 and wavelength_m > 0.0):
-        raise ValueError("power and wavelength must be > 0")
+    _require_positive("power", power_w)
+    _require_positive("wavelength", wavelength_m)
     return power_w * wavelength_m / (PLANCK_H_JS * SPEED_OF_LIGHT_M_S)
 
 
@@ -143,8 +147,10 @@ def mu_out_bound(n_photons: float, f_a_hz: float, gamma_db: float) -> float:
     N is the damage-limited photon flux, f_A the clock rate, gamma the
     round-trip isolation.
     """
-    if not (n_photons > 0.0 and f_a_hz > 0.0):
-        raise ValueError("photon flux and clock rate must be > 0")
+    _require_positive("photon flux", n_photons)
+    _require_positive("clock rate", f_a_hz)
+    if not math.isfinite(gamma_db):
+        raise ValueError(f"isolation must be finite, got {gamma_db!r}")
     chi_db = db_from_linear(n_photons / f_a_hz)
     return linear_from_db(chi_db + gamma_db)
 
@@ -152,8 +158,9 @@ def mu_out_bound(n_photons: float, f_a_hz: float, gamma_db: float) -> float:
 def required_isolation(mu_out_target: float, n_photons: float,
                        f_a_hz: float) -> float:
     """Isolation (dB) needed to keep the leakage at mu_out_target."""
-    if not (mu_out_target > 0.0 and n_photons > 0.0 and f_a_hz > 0.0):
-        raise ValueError("arguments must be > 0")
+    _require_positive("mu_out", mu_out_target)
+    _require_positive("photon flux", n_photons)
+    _require_positive("clock rate", f_a_hz)
     return db_from_linear(mu_out_target) - db_from_linear(n_photons / f_a_hz)
 
 
@@ -176,8 +183,9 @@ class ComponentCatalog:
             if not values:
                 raise ValueError("catalog value sets must be nonempty")
             for value in values:
-                if value > 0.0:
-                    raise ValueError("catalog values must be <= 0 dB")
+                if not -math.inf < value <= 0.0:
+                    raise ValueError(
+                        f"catalog values must be finite and <= 0 dB, got {value!r}")
 
 
 def plan_budget(gamma_target_db: float,
@@ -199,8 +207,11 @@ def plan_budget(gamma_target_db: float,
     """
     if catalog is None:
         catalog = ComponentCatalog()
-    if max_attenuator_db > 0.0:
-        raise ValueError("max_attenuator_db must be <= 0")
+    if not math.isfinite(gamma_target_db):
+        raise ValueError(f"isolation target must be finite, got {gamma_target_db!r}")
+    if not -math.inf < max_attenuator_db <= 0.0:
+        raise ValueError("max_attenuator_db must be finite and <= 0, "
+                         f"got {max_attenuator_db!r}")
     if allow_attenuator:
         steps = int(math.floor(abs(max_attenuator_db) / ATTENUATOR_STEP_DB + 1e-9))
         attenuators = [0.0] + [-ATTENUATOR_STEP_DB * k for k in range(1, steps + 1)]

@@ -34,7 +34,7 @@ class ChannelParams:
     f_ec: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha_db_per_km", "f_ec"):
+        for name in ("alpha_db_per_km", "eta_det", "e_opt", "p_dark", "f_ec"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")

@@ -1,13 +1,11 @@
-"""Reflectometry and spectral characterization of the transmitter optics.
+"""Reflectometry of the transmitter optics.
 
-Two measurement ingestion paths feed the isolation budget: reflection peaks
-located by optical time-domain reflectometry give the worst-case
-reflectivity of the optics behind the isolation, and measured
-isolator/filter transmission spectra give the worst-case isolation over a
-wavelength band an eavesdropper might probe.
+Reflection peaks located by optical time-domain reflectometry give the
+worst-case reflectivity of the optics behind the isolation, one term of
+the isolation budget.
 """
 
-import bisect
+import math
 from dataclasses import dataclass
 
 from thabound.numerics import db_from_linear
@@ -39,37 +37,31 @@ class ReflectionPeak:
     polarization: str
 
     def __post_init__(self) -> None:
-        if self.distance_m < 0.0:
-            raise ValueError("distance must be >= 0 m")
-        if self.reflectivity_db > 0.0:
-            raise ValueError("reflectivity must be <= 0 dB")
+        # Written so that NaN and +-inf fail the comparison.
+        if not 0.0 <= self.distance_m < math.inf:
+            raise ValueError(f"distance must be finite and >= 0 m, got {self.distance_m!r}")
+        if not -math.inf < self.reflectivity_db <= 0.0:
+            raise ValueError("reflectivity must be finite and <= 0 dB, "
+                             f"got {self.reflectivity_db!r}")
         if self.polarization not in (SHORT_ARM, LONG_ARM):
             raise ValueError("polarization must be short_arm or long_arm")
-
-
-def _data_rows(text):
-    """Yield (line_no, [fields]) for rows that carry data.
-
-    Accepts a string or any iterable of lines; blank lines and '#' comments
-    are skipped.  Line numbers count every physical line, as an editor
-    would.
-    """
-    lines = text.splitlines() if isinstance(text, str) else text
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line_no, [field.strip() for field in line.split(",")]
 
 
 def parse_trace(text) -> list[ReflectionPeak]:
     """Parse a reflection-peak CSV: distance_m,reflectivity_db,polarization.
 
-    Polarization tags are 's' (short arm) and 'l' (long arm).  Returns the
-    peaks in file order.
+    Accepts a string or any iterable of lines; blank lines and '#' comments
+    are skipped, and line numbers in errors count every physical line, as
+    an editor would.  Polarization tags are 's' (short arm) and 'l' (long
+    arm).  Returns the peaks in file order.
     """
+    lines = text.splitlines() if isinstance(text, str) else text
     peaks = []
-    for line_no, fields in _data_rows(text):
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [field.strip() for field in line.split(",")]
         if len(fields) != 3:
             raise TraceParseError(line_no, f"expected 3 fields, got {len(fields)}")
         try:
@@ -99,8 +91,8 @@ def reflectivity_bound(peaks: list[ReflectionPeak],
     reflection".
     """
     d_min, d_max = region
-    if d_min > d_max:
-        raise ValueError("region must satisfy d_min <= d_max")
+    if not -math.inf < d_min <= d_max < math.inf:
+        raise ValueError(f"region must be finite with d_min <= d_max, got {region!r}")
     linear_sum = 0.0
     found = False
     for peak in peaks:
@@ -110,90 +102,3 @@ def reflectivity_bound(peaks: list[ReflectionPeak],
     if not found:
         return None
     return db_from_linear(linear_sum)
-
-
-@dataclass(frozen=True)
-class SpectralCurve:
-    """Isolation versus wavelength, linearly interpolated between samples."""
-
-    samples: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        samples = tuple((float(w), float(i)) for w, i in self.samples)
-        object.__setattr__(self, "samples", samples)
-        if len(samples) < 2:
-            raise ValueError("a spectral curve needs at least 2 samples")
-        for (w_prev, _), (w_next, _) in zip(samples, samples[1:]):
-            if not w_next > w_prev:
-                raise ValueError("wavelengths must be strictly increasing")
-        for _, isolation in samples:
-            if isolation > 0.0:
-                raise ValueError("isolation values must be <= 0 dB")
-
-    @property
-    def wavelength_min_nm(self) -> float:
-        return self.samples[0][0]
-
-    @property
-    def wavelength_max_nm(self) -> float:
-        return self.samples[-1][0]
-
-    def isolation_at(self, wavelength_nm: float) -> float:
-        """Interpolated isolation (dB) at a wavelength inside the support."""
-        if not (self.wavelength_min_nm <= wavelength_nm <= self.wavelength_max_nm):
-            raise ValueError(
-                f"wavelength {wavelength_nm} nm outside measured range "
-                f"[{self.wavelength_min_nm}, {self.wavelength_max_nm}] nm")
-        wavelengths = [w for w, _ in self.samples]
-        index = bisect.bisect_left(wavelengths, wavelength_nm)
-        if index < len(self.samples) and self.samples[index][0] == wavelength_nm:
-            return self.samples[index][1]
-        w_lo, i_lo = self.samples[index - 1]
-        w_hi, i_hi = self.samples[index]
-        fraction = (wavelength_nm - w_lo) / (w_hi - w_lo)
-        return i_lo + fraction * (i_hi - i_lo)
-
-
-def parse_spectrum(text) -> SpectralCurve:
-    """Parse a spectrum CSV: wavelength_nm,isolation_db."""
-    samples = []
-    for line_no, fields in _data_rows(text):
-        if len(fields) != 2:
-            raise TraceParseError(line_no, f"expected 2 fields, got {len(fields)}")
-        try:
-            wavelength = float(fields[0])
-            isolation = float(fields[1])
-        except ValueError:
-            raise TraceParseError(line_no, "wavelength and isolation must be numeric") from None
-        if isolation > 0.0:
-            raise TraceParseError(line_no, "isolation must be <= 0 dB")
-        samples.append((wavelength, isolation))
-    return SpectralCurve(tuple(samples))
-
-
-def spectral_isolation(isolator: SpectralCurve, filter_curve: SpectralCurve,
-                       n_isolators: int, band: tuple[float, float]) -> float:
-    """Worst-case in-band isolation of n isolators plus a two-pass filter.
-
-    Evaluates n*I(lambda) + 2*F(lambda) over the band and returns its
-    maximum (the least negative value: the wavelength an eavesdropper would
-    pick).  Both curves are piecewise linear, so the maximum sits at a band
-    edge or at one of the sample wavelengths; only those points are
-    checked.
-    """
-    if n_isolators < 0 or n_isolators != int(n_isolators):
-        raise ValueError("n_isolators must be a nonnegative integer")
-    lo, hi = band
-    if lo > hi:
-        raise ValueError("band must satisfy lambda_min <= lambda_max")
-    for curve in (isolator, filter_curve):
-        if lo < curve.wavelength_min_nm or hi > curve.wavelength_max_nm:
-            raise ValueError("band extends outside a curve's measured range")
-    candidates = {lo, hi}
-    for curve in (isolator, filter_curve):
-        for wavelength, _ in curve.samples:
-            if lo <= wavelength <= hi:
-                candidates.add(wavelength)
-    return max(n_isolators * isolator.isolation_at(w)
-               + 2.0 * filter_curve.isolation_at(w)
-               for w in sorted(candidates))

@@ -32,11 +32,7 @@ from thabound.channel import (
     decoy_state,
     single_photon,
 )
-from thabound.characterize import (
-    TraceParseError,
-    parse_trace,
-    reflectivity_bound,
-)
+from thabound.characterize import parse_trace, reflectivity_bound
 from thabound.keyrate import (
     NoPositiveRateError,
     max_distance,
@@ -301,15 +297,17 @@ def _catalog_from_config(path: str | None) -> budget_mod.ComponentCatalog:
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
+    # Planning runs before the first line is printed, so bad input exits 1
+    # with nothing on stdout.
     gamma = budget_mod.required_isolation(args.mu_out, args.photon_flux,
                                           args.clock_hz)
-    print(f"required isolation: {gamma:.6g} dB")
     catalog = _catalog_from_config(args.config)
     max_att = -abs(args.max_attenuator_db)
     budgets = budget_mod.plan_budget(gamma, catalog=catalog,
                                      max_attenuator_db=max_att,
                                      allow_attenuator=not args.no_attenuator)
 
+    print(f"required isolation: {gamma:.6g} dB")
     if not budgets:
         print("no feasible component combination reaches the target")
         return 2
@@ -342,12 +340,12 @@ def cmd_reflectivity(args: argparse.Namespace) -> int:
     with open(args.trace, encoding="utf-8") as handle:
         peaks = parse_trace(handle.read())
     d_min, d_max = args.region
+    bound = reflectivity_bound(peaks, (d_min, d_max))
     print("  distance_m  reflectivity_db  polarization  in_region")
     for peak in peaks:
         in_region = "yes" if d_min <= peak.distance_m <= d_max else "no"
         print(f"  {peak.distance_m:>10g}  {peak.reflectivity_db:>15g}  "
               f"{peak.polarization:<12}  {in_region}")
-    bound = reflectivity_bound(peaks, (d_min, d_max))
     if bound is None:
         print(f"no reflectors in region {d_min:g} m to {d_max:g} m")
     else:
@@ -496,19 +494,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TraceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NoPositiveRateError as exc:
+        # Before ValueError, which it subclasses.
         print(f"insecure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

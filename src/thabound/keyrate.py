@@ -40,6 +40,10 @@ LENGTH_TOL_KM = 0.1
 
 CONVEXITY_SLACK = 1e-12
 
+# Most points one sweep may evaluate (the presets use 201), so a tiny step
+# fails at once instead of running for hours.
+MAX_GRID_POINTS = 100_000
+
 
 class NoPositiveRateError(ValueError):
     """A search precondition failed: no key even at the easy bracket end."""
@@ -128,14 +132,19 @@ def sweep_distance(channel: ChannelParams, source: SourceModel,
                    step: float) -> RateSeries:
     """Evaluate key_rate on the inclusive grid l_min, l_min+step, ... l_max.
 
-    Rates below RATE_FLOOR are reported as 0 with secure=False.
+    Rates below RATE_FLOOR are reported as 0 with secure=False.  A grid of
+    more than MAX_GRID_POINTS points raises ValueError before any rate.
     """
     for name, value in (("l_min", l_min), ("l_max", l_max), ("step", step)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if step <= 0.0 or not l_min < l_max or l_min < 0.0:
         raise ValueError("empty sweep grid")
-    count = int(math.floor((l_max - l_min) / step + 1e-9))
+    last = (l_max - l_min) / step + 1e-9
+    if last >= MAX_GRID_POINTS:
+        raise ValueError(f"sweep grid exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS} "
+                         "points; raise step or narrow [l_min, l_max]")
+    count = int(math.floor(last))
     points = []
     for i in range(count + 1):
         length = l_min + i * step

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -236,3 +238,23 @@ class TestPlanBudget:
     def test_feasibility_is_exact(self, gamma):
         for entry in plan_budget(gamma):
             assert isolation_total(entry) <= gamma
+
+
+NON_FINITE_CALLS = {
+    "LidtSpec": lambda v: LidtSpec(v, 1.0, 1.55e-6),
+    "lidt_scale_pulse_width": lambda v: lidt_scale_pulse_width(conservative_preset(), v),
+    "lidt_scale_wavelength": lambda v: lidt_scale_wavelength(conservative_preset(), v),
+    "photon_flux_from_power": lambda v: photon_flux_from_power(v, 1550e-9),
+    "required_isolation": lambda v: required_isolation(1e-6, v, 1e9),
+    "mu_out_bound": lambda v: mu_out_bound(1e20, 1e9, v),
+    "plan_budget target": lambda v: plan_budget(v),
+    "plan_budget attenuator": lambda v: plan_budget(-170.0, max_attenuator_db=v),
+    "ComponentCatalog": lambda v: ComponentCatalog(reflectivity_db_values=(v,)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_rejected(call, value):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_CALLS[call](value)

@@ -7,12 +7,9 @@ from thabound.characterize import (
     LONG_ARM,
     ReflectionPeak,
     SHORT_ARM,
-    SpectralCurve,
     TraceParseError,
-    parse_spectrum,
     parse_trace,
     reflectivity_bound,
-    spectral_isolation,
 )
 
 from conftest import DATA_DIR
@@ -64,6 +61,18 @@ class TestParseTrace:
         with pytest.raises(TraceParseError):
             parse_trace("-1.2,-46.0,s")
 
+    @pytest.mark.parametrize("row, value", [
+        ("nan,-48.0,s", "distance"),
+        ("inf,-48.0,s", "distance"),
+        ("1,-inf,l", "reflectivity"),
+        ("1,nan,l", "reflectivity"),
+    ])
+    def test_non_finite_values_report_line(self, row, value):
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(f"# peaks\n{row}\n")
+        assert err.value.line_no == 2
+        assert value in str(err.value)
+
     def test_accepts_iterable_of_lines(self):
         peaks = parse_trace(["1.0,-40.0,s\n", "2.0,-50.0,l\n"])
         assert len(peaks) == 2
@@ -111,6 +120,13 @@ class TestReflectivityBound:
         with pytest.raises(ValueError):
             reflectivity_bound([], (7.0, 0.0))
 
+    @pytest.mark.parametrize("region", [
+        (math.nan, 7.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 7.0),
+    ])
+    def test_non_finite_region_rejected(self, region):
+        with pytest.raises(ValueError, match="region"):
+            reflectivity_bound([], region)
+
     @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=7.0),
                               st.floats(min_value=-80.0, max_value=-1.0)),
                     min_size=1, max_size=8))
@@ -142,110 +158,3 @@ class TestReflectivityBound:
         combined = 10.0 * math.log10(10.0 ** (part_a / 10.0)
                                      + 10.0 ** (part_b / 10.0))
         assert total == pytest.approx(combined, abs=1e-9)
-
-
-class TestSpectralCurve:
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            SpectralCurve(((1550.0, -60.0),))
-
-    def test_wavelengths_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            SpectralCurve(((1550.0, -60.0), (1550.0, -61.0)))
-
-    def test_isolation_nonpositive(self):
-        with pytest.raises(ValueError):
-            SpectralCurve(((1500.0, -60.0), (1600.0, 0.5)))
-
-    def test_interpolation(self):
-        curve = SpectralCurve(((1500.0, -60.0), (1600.0, -40.0)))
-        assert curve.isolation_at(1500.0) == -60.0
-        assert curve.isolation_at(1600.0) == -40.0
-        assert curve.isolation_at(1550.0) == pytest.approx(-50.0)
-        assert curve.isolation_at(1525.0) == pytest.approx(-55.0)
-
-    def test_out_of_support_rejected(self):
-        curve = SpectralCurve(((1500.0, -60.0), (1600.0, -40.0)))
-        with pytest.raises(ValueError):
-            curve.isolation_at(1499.9)
-        with pytest.raises(ValueError):
-            curve.isolation_at(1600.1)
-
-    def test_exact_sample_hit(self):
-        curve = SpectralCurve(((1500.0, -60.0), (1550.0, -65.0),
-                               (1600.0, -40.0)))
-        assert curve.isolation_at(1550.0) == -65.0
-
-
-class TestParseSpectrum:
-    def test_round_trip(self):
-        text = "# wavelength_nm,isolation_db\n1500,-55.5\n1550,-66\n1600,-41\n"
-        curve = parse_spectrum(text)
-        assert curve.samples == ((1500.0, -55.5), (1550.0, -66.0),
-                                 (1600.0, -41.0))
-
-    def test_positive_isolation_rejected_with_line(self):
-        with pytest.raises(TraceParseError) as err:
-            parse_spectrum("1500,-55\n1550,2.0\n")
-        assert err.value.line_no == 2
-
-    def test_field_count(self):
-        with pytest.raises(TraceParseError):
-            parse_spectrum("1500,-55,-60\n")
-
-
-class TestSpectralIsolation:
-    FLAT_FILTER = SpectralCurve(((1400.0, 0.0), (1700.0, 0.0)))
-
-    def test_constant_isolator(self):
-        isolator = SpectralCurve(((1500.0, -65.0), (1600.0, -65.0)))
-        out = spectral_isolation(isolator, self.FLAT_FILTER, 1,
-                                 (1540.0, 1560.0))
-        assert out == pytest.approx(-65.0)
-
-    def test_filter_takes_over_where_isolator_degrades(self):
-        # isolator strong only near the operating wavelength; the filter
-        # suppresses everything else by 80 dB per pass
-        isolator = SpectralCurve(((1500.0, -40.0), (1550.0, -65.0),
-                                  (1600.0, -40.0)))
-        filter_curve = SpectralCurve(((1500.0, -80.0), (1550.0, 0.0),
-                                      (1600.0, -80.0)))
-        out = spectral_isolation(isolator, filter_curve, 1, (1500.0, 1600.0))
-        assert out == pytest.approx(-65.0)
-        at_edge = (isolator.isolation_at(1500.0)
-                   + 2.0 * filter_curve.isolation_at(1500.0))
-        assert at_edge == pytest.approx(-200.0)
-
-    def test_no_components_no_isolation(self):
-        isolator = SpectralCurve(((1500.0, -65.0), (1600.0, -65.0)))
-        out = spectral_isolation(isolator, self.FLAT_FILTER, 0,
-                                 (1540.0, 1560.0))
-        assert out == 0.0
-
-    def test_worst_case_found_between_samples(self):
-        # the sum of two piecewise-linear curves peaks at a breakpoint of
-        # either curve, not necessarily at a shared sample
-        isolator = SpectralCurve(((1500.0, -60.0), (1600.0, -20.0)))
-        filter_curve = SpectralCurve(((1500.0, 0.0), (1580.0, 0.0),
-                                      (1600.0, -50.0)))
-        out = spectral_isolation(isolator, filter_curve, 1, (1500.0, 1600.0))
-        expected_at_1580 = -60.0 + 0.8 * 40.0  # isolator interpolated
-        assert out == pytest.approx(expected_at_1580)
-
-    def test_monotone_in_isolator_count(self):
-        isolator = SpectralCurve(((1500.0, -50.0), (1600.0, -30.0)))
-        values = [spectral_isolation(isolator, self.FLAT_FILTER, n,
-                                     (1520.0, 1580.0)) for n in range(5)]
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_band_outside_support_rejected(self):
-        isolator = SpectralCurve(((1500.0, -65.0), (1600.0, -65.0)))
-        with pytest.raises(ValueError):
-            spectral_isolation(isolator, self.FLAT_FILTER, 1,
-                               (1450.0, 1550.0))
-
-    def test_negative_count_rejected(self):
-        isolator = SpectralCurve(((1500.0, -65.0), (1600.0, -65.0)))
-        with pytest.raises(ValueError):
-            spectral_isolation(isolator, self.FLAT_FILTER, -1,
-                               (1520.0, 1560.0))

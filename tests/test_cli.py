@@ -9,6 +9,7 @@ from thabound.cli import SWEEP_CSV_HEADER, config_from_json, main
 from conftest import DATA_DIR, read_sweep_csv
 
 PEAKS = str(DATA_DIR / "transmitter_peaks.csv")
+BUDGET = ["budget", "--mu-out", "1e-6", "--photon-flux", "1e20", "--clock-hz", "1e9"]
 CHANNEL = ChannelParams(0.2, 0.125, 0.01, 1e-5, 1.2)
 
 
@@ -387,6 +388,10 @@ class TestNonFiniteInput:
         (["--source", "decoy", "--decoy-s", "inf"], "s must be finite"),
         (["--l-max", "inf"], "l_max"),
         (["--step", "nan"], "step"),
+        (["--eta-det", "nan"], "eta_det"),
+        (["--e-opt", "inf"], "e_opt"),
+        (["--p-dark", "inf"], "p_dark"),
+        (["--l-max", "200", "--step", "0.001"], "MAX_GRID_POINTS"),
     ])
     def test_sweep_exits_one_without_output(self, tmp_path, capsys, flags,
                                             field):
@@ -394,3 +399,21 @@ class TestNonFiniteInput:
         assert code == 1
         assert field in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, field", [
+        ([*BUDGET, "--max-attenuator-db", "inf"], "max_attenuator_db"),
+        ([*BUDGET, "--max-attenuator-db", "nan"], "max_attenuator_db"),
+        ([*BUDGET, "--mu-out", "inf"], "mu_out"),
+        ([*BUDGET, "--photon-flux", "inf"], "photon flux"),
+        ([*BUDGET, "--clock-hz", "nan"], "clock rate"),
+        (["lidt", "--power", "inf", "--lambda", "1550e-9"], "power"),
+        (["lidt", "--power", "1", "--lambda", "inf"], "wavelength"),
+        (["lidt", "--preset", "conservative", "--pulse-width", "inf"], "pulse width"),
+        (["reflectivity", "--trace", PEAKS, "--region", "nan", "7"], "region"),
+    ])
+    def test_planning_exits_one_without_output(self, capsys, argv, field):
+        # A repeated flag overrides the BUDGET value given before it.
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
