@@ -14,7 +14,9 @@ engine maps that to a zero rate.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+
+from thabound.numerics import validated_make
 
 NO_ATTACK = "none"
 GENERAL = "general"
@@ -23,16 +25,21 @@ USD = "usd"
 ATTACK_KINDS = (NO_ATTACK, GENERAL, PASSIVE, USD)
 
 
-@dataclass(frozen=True)
-class AttackModel:
+class AttackModel(namedtuple("AttackModel", "kind mu_out")):
     """An attack kind plus the leakage mu_out it is evaluated at.
 
     Kind ``none`` requires mu_out == 0.  The attack kinds accept any
     mu_out >= 0; with mu_out = 0 they coincide with no attack.
     """
 
-    kind: str
-    mu_out: float = 0.0
+    __slots__ = ()
+
+    def __new__(cls, kind, mu_out=0.0):
+        self = tuple.__new__(cls, (kind, mu_out))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:

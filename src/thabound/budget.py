@@ -9,9 +9,9 @@ mu_out = (N / f_A) * gamma.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from thabound.numerics import db_from_linear, linear_from_db
+from thabound.numerics import db_from_linear, linear_from_db, validated_make
 
 # Exact SI defined values.
 PLANCK_H_JS = 6.62607015e-34
@@ -27,8 +27,8 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class LidtSpec:
+class LidtSpec(namedtuple("LidtSpec",
+                          "photon_flux pulse_width_ref_s wavelength_ref_m")):
     """A laser damage threshold expressed as photon flux.
 
     photon_flux: photons per second onto the 50 um^2 reference core area.
@@ -38,9 +38,14 @@ class LidtSpec:
     system's, so the damage bound applies pulse by pulse.
     """
 
-    photon_flux: float
-    pulse_width_ref_s: float
-    wavelength_ref_m: float
+    __slots__ = ()
+
+    def __new__(cls, photon_flux, pulse_width_ref_s, wavelength_ref_m):
+        self = tuple.__new__(cls, (photon_flux, pulse_width_ref_s, wavelength_ref_m))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         _require_positive("photon_flux", self.photon_flux)
@@ -111,8 +116,9 @@ def photon_flux_from_power(power_w: float, wavelength_m: float) -> float:
     return power_w * wavelength_m / (PLANCK_H_JS * SPEED_OF_LIGHT_M_S)
 
 
-@dataclass(frozen=True)
-class IsolationBudget:
+class IsolationBudget(namedtuple("IsolationBudget",
+                                 "filter_db isolator_db isolator_count "
+                                 "attenuator_db reflectivity_db")):
     """Per-component round-trip attenuations, in nonpositive dB.
 
     filter_db and attenuator_db are traversed twice (in and out), the n
@@ -120,11 +126,16 @@ class IsolationBudget:
     reflectivity_db is the reflection that turns the probe around.
     """
 
-    filter_db: float = 0.0
-    isolator_db: float = 0.0
-    isolator_count: int = 0
-    attenuator_db: float = 0.0
-    reflectivity_db: float = 0.0
+    __slots__ = ()
+
+    def __new__(cls, filter_db=0.0, isolator_db=0.0, isolator_count=0,
+                attenuator_db=0.0, reflectivity_db=0.0):
+        self = tuple.__new__(cls, (filter_db, isolator_db, isolator_count,
+                                   attenuator_db, reflectivity_db))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         for value in (self.filter_db, self.isolator_db, self.attenuator_db,
@@ -164,8 +175,9 @@ def required_isolation(mu_out_target: float, n_photons: float,
     return db_from_linear(mu_out_target) - db_from_linear(n_photons / f_a_hz)
 
 
-@dataclass(frozen=True)
-class ComponentCatalog:
+class ComponentCatalog(namedtuple("ComponentCatalog",
+                                  "isolator_db_values reflectivity_db_values "
+                                  "filter_db_values")):
     """Available component values for budget planning, in nonpositive dB.
 
     Defaults are the common stock values: dual-stage isolators at 50 or
@@ -173,9 +185,16 @@ class ComponentCatalog:
     40 or 50 dB, no dedicated filter.
     """
 
-    isolator_db_values: tuple[float, ...] = (-50.0, -60.0)
-    reflectivity_db_values: tuple[float, ...] = (-40.0, -50.0)
-    filter_db_values: tuple[float, ...] = (0.0,)
+    __slots__ = ()
+
+    def __new__(cls, isolator_db_values=(-50.0, -60.0),
+                reflectivity_db_values=(-40.0, -50.0), filter_db_values=(0.0,)):
+        self = tuple.__new__(cls, (isolator_db_values, reflectivity_db_values,
+                                   filter_db_values))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         for values in (self.isolator_db_values, self.reflectivity_db_values,

@@ -8,16 +8,16 @@ equal the true ones.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from thabound.numerics import probability
+from thabound.numerics import probability, validated_make
 
 SINGLE_PHOTON = "single_photon"
 DECOY = "decoy"
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(namedtuple("ChannelParams",
+                               "alpha_db_per_km eta_det e_opt p_dark f_ec")):
     """Constants of the link and receiver.
 
     alpha_db_per_km: fiber loss coefficient.
@@ -27,11 +27,14 @@ class ChannelParams:
     f_ec: error-correction inefficiency, at least 1.
     """
 
-    alpha_db_per_km: float
-    eta_det: float
-    e_opt: float
-    p_dark: float
-    f_ec: float
+    __slots__ = ()
+
+    def __new__(cls, alpha_db_per_km, eta_det, e_opt, p_dark, f_ec):
+        self = tuple.__new__(cls, (alpha_db_per_km, eta_det, e_opt, p_dark, f_ec))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         for name in ("alpha_db_per_km", "eta_det", "e_opt", "p_dark", "f_ec"):
@@ -40,19 +43,28 @@ class ChannelParams:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha_db_per_km < 0.0:
             raise ValueError("alpha_db_per_km must be >= 0")
-        probability(self.eta_det)
-        probability(self.e_opt)
-        probability(self.p_dark)
+        for name in ("eta_det", "e_opt", "p_dark"):
+            value = getattr(self, name)
+            try:
+                probability(value)
+            except ValueError:
+                raise ValueError(
+                    f"{name} must be a probability in [0, 1], got {value!r}") from None
         if self.f_ec < 1.0:
             raise ValueError("f_ec must be >= 1")
 
 
-@dataclass(frozen=True)
-class SourceModel:
+class SourceModel(namedtuple("SourceModel", "kind s")):
     """Photon source: ``single_photon`` or ``decoy`` with signal intensity s."""
 
-    kind: str
-    s: float | None = None
+    __slots__ = ()
+
+    def __new__(cls, kind, s=None):
+        self = tuple.__new__(cls, (kind, s))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         if self.kind == SINGLE_PHOTON:
@@ -80,8 +92,7 @@ def decoy_state(s: float) -> SourceModel:
     return SourceModel(DECOY, s)
 
 
-@dataclass(frozen=True)
-class LinkObservables:
+class LinkObservables(namedtuple("LinkObservables", "q_x e_x y1 e1 q1")):
     """Per-pulse quantities at one fiber length.
 
     q_x: detection rate in the key basis.
@@ -92,11 +103,14 @@ class LinkObservables:
     q1: single-photon gain entering privacy amplification.
     """
 
-    q_x: float
-    e_x: float
-    y1: float
-    e1: float
-    q1: float
+    __slots__ = ()
+
+    def __new__(cls, q_x, e_x, y1, e1, q1):
+        self = tuple.__new__(cls, (q_x, e_x, y1, e1, q1))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         for field in (self.q_x, self.e_x, self.y1, self.e1, self.q1):

@@ -6,9 +6,9 @@ the isolation budget.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from thabound.numerics import db_from_linear
+from thabound.numerics import db_from_linear, validated_make
 
 SHORT_ARM = "short_arm"
 LONG_ARM = "long_arm"
@@ -24,17 +24,22 @@ class TraceParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class ReflectionPeak:
+class ReflectionPeak(namedtuple("ReflectionPeak",
+                                "distance_m reflectivity_db polarization")):
     """One reflection located along the transmitter's internal path.
 
     distance_m is measured from the fiber entry; polarization records which
     interferometer arm (short or long) the reflection returns through.
     """
 
-    distance_m: float
-    reflectivity_db: float
-    polarization: str
+    __slots__ = ()
+
+    def __new__(cls, distance_m, reflectivity_db, polarization):
+        self = tuple.__new__(cls, (distance_m, reflectivity_db, polarization))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         # Written so that NaN and +-inf fail the comparison.

@@ -15,8 +15,8 @@ formats in text reports.
 """
 
 import argparse
-import dataclasses
 import json
+import math
 import os
 import random
 import sys
@@ -34,10 +34,12 @@ from thabound.channel import (
 )
 from thabound.characterize import parse_trace, reflectivity_bound
 from thabound.keyrate import (
+    RATE_FLOOR,
     NoPositiveRateError,
     max_distance,
     mu_out_threshold,
-    sweep_distance,
+    rates_at,
+    sweep_lengths,
     verify_convexity,
 )
 
@@ -227,14 +229,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     channel, source, attack_list, sweep, output_path = _resolve_config(args)
     blocks = _sorted_attacks(attack_list)
 
+    # Rates are evaluated length by length, all blocks at once, and written
+    # block by block; rates below RATE_FLOOR are written as 0.
+    lengths = sweep_lengths(*sweep)
+    rates_by_length = [rates_at(channel, source, blocks, length)
+                       for length in lengths]
+    length_cells = [_fmt(length) for length in lengths]
+    label = source.label()
     rows = [SWEEP_CSV_HEADER]
-    for attack in blocks:
-        series = sweep_distance(channel, source, attack, *sweep)
-        for point in series.points:
-            rate_cell = _fmt(point.rate) if point.secure else "0"
-            rows.append(",".join((
-                _fmt(point.length_km), _fmt(attack.mu_out), attack.kind,
-                source.label(), rate_cell)))
+    for index, attack in enumerate(blocks):
+        attack_cells = f"{_fmt(attack.mu_out)},{attack.kind},{label}"
+        for length_cell, rates in zip(length_cells, rates_by_length):
+            rate = rates[index]
+            rate_cell = _fmt(rate) if rate >= RATE_FLOOR else "0"
+            rows.append(f"{length_cell},{attack_cells},{rate_cell}")
 
     with open(output_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")
@@ -287,12 +295,24 @@ def _catalog_from_config(path: str | None) -> budget_mod.ComponentCatalog:
         return budget_mod.ComponentCatalog()
     with open(path, encoding="utf-8") as handle:
         data = json.loads(handle.read())
+    if not isinstance(data, dict):
+        raise ValueError("budget config must be a JSON object with a "
+                         "'catalog' object")
     entry = data.get("catalog", {})
+    if not isinstance(entry, dict):
+        raise ValueError(f"catalog must be a JSON object, got {entry!r}")
     kwargs = {}
     for key in ("isolator_db_values", "reflectivity_db_values",
                 "filter_db_values"):
         if key in entry:
-            kwargs[key] = tuple(float(v) for v in entry[key])
+            values = entry[key]
+            try:
+                if not isinstance(values, list):
+                    raise TypeError
+                kwargs[key] = tuple(float(v) for v in values)
+            except (TypeError, ValueError):
+                raise ValueError(f"catalog {key} must be a list of numbers, "
+                                 f"got {values!r}") from None
     return budget_mod.ComponentCatalog(**kwargs)
 
 
@@ -326,7 +346,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
         payload = {
             "required_isolation_db": gamma,
             "budgets": [
-                dataclasses.asdict(entry)
+                entry._asdict()
                 | {"total_db": budget_mod.isolation_total(entry)}
                 for entry in budgets
             ],
@@ -396,9 +416,17 @@ def cmd_lidt(args: argparse.Namespace) -> int:
 
 
 CONVEXITY_LENGTHS_KM = (0.0, 50.0, 100.0)
+# Most pairs one convexity run may check per attack kind and source.
+MAX_CONVEXITY_PAIRS = 10_000
 
 
 def cmd_convexity(args: argparse.Namespace) -> int:
+    if not 1 <= args.pairs <= MAX_CONVEXITY_PAIRS:
+        raise UsageError(f"--pairs must be between 1 and {MAX_CONVEXITY_PAIRS}, "
+                         f"got {args.pairs}")
+    # Written so that NaN and +inf fail the comparison.
+    if not 0.0 < args.mu_max < math.inf:
+        raise UsageError(f"--mu-max must be finite and > 0, got {args.mu_max!r}")
     rng = random.Random(args.seed)
     sources = (single_photon(), decoy_state(0.5))
     kinds = (attacks_mod.GENERAL, attacks_mod.PASSIVE, attacks_mod.USD)

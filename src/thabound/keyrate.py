@@ -14,7 +14,7 @@ reproduces it bit for bit.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from thabound import attacks
 from thabound.attacks import AttackModel
@@ -26,7 +26,7 @@ from thabound.channel import (
     decoy_link,
     single_photon_link,
 )
-from thabound.numerics import binary_entropy
+from thabound.numerics import binary_entropy, validated_make
 
 # Rates below this are reported as zero (and flagged insecure); they are
 # beyond physical relevance and keep log-scale plots finite.
@@ -37,6 +37,10 @@ MU_BRACKET_HI = 2.0
 MU_REL_TOL = 1e-3
 LENGTH_BRACKET_KM = 500.0
 LENGTH_TOL_KM = 0.1
+
+# Bisection steps after which a search stops even if its tolerance is not
+# met (a zero tolerance never is); the presets need 11 to 13.
+MAX_HALVINGS = 64
 
 CONVEXITY_SLACK = 1e-12
 
@@ -49,28 +53,33 @@ class NoPositiveRateError(ValueError):
     """A search precondition failed: no key even at the easy bracket end."""
 
 
-@dataclass(frozen=True)
-class RateQuery:
-    channel: ChannelParams
-    source: SourceModel
-    attack: AttackModel
-    length_km: float
+class RateQuery(namedtuple("RateQuery", "channel source attack length_km")):
+    __slots__ = ()
+
+    def __new__(cls, channel, source, attack, length_km):
+        self = tuple.__new__(cls, (channel, source, attack, length_km))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         if self.length_km < 0.0:
             raise ValueError("length_km must be >= 0")
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    length_km: float
-    rate: float
-    secure: bool
+RatePoint = namedtuple("RatePoint", "length_km rate secure")
 
 
-@dataclass(frozen=True)
-class RateSeries:
-    points: tuple[RatePoint, ...]
+class RateSeries(namedtuple("RateSeries", "points")):
+    __slots__ = ()
+
+    def __new__(cls, points):
+        self = tuple.__new__(cls, (points,))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         for prev, cur in zip(self.points, self.points[1:]):
@@ -105,20 +114,38 @@ def _privacy_factor(obs: LinkObservables, attack: AttackModel) -> float | None:
     raise ValueError(f"unknown attack kind {attack.kind!r}")
 
 
+def rates_at(channel: ChannelParams, source: SourceModel,
+             attack_list: list[AttackModel] | tuple[AttackModel, ...],
+             length_km: float) -> list[float]:
+    """Secure key rates at one length, one per attack, in bits per pulse.
+
+    The link observables and the error-correction cost depend only on the
+    length, so they are evaluated at most once; only the privacy term is
+    taken per attack.  Each rate is never negative.
+    """
+    if source.kind == SINGLE_PHOTON:
+        obs = single_photon_link(channel, length_km)
+    else:
+        obs = decoy_link(channel, length_km, source.s)
+    if obs.q1 == 0.0 and obs.q_x == 0.0:
+        return [0.0] * len(attack_list)
+    ec_cost = None  # not needed while every bound is vacuous
+    rates = []
+    for attack in attack_list:
+        privacy = _privacy_factor(obs, attack)
+        if privacy is None:
+            rates.append(0.0)
+            continue
+        if ec_cost is None:
+            ec_cost = obs.q_x * channel.f_ec * binary_entropy(obs.e_x)
+        rates.append(max(0.0, obs.q1 * privacy - ec_cost))
+    return rates
+
+
 def key_rate(query: RateQuery) -> float:
     """Secure key rate in bits per pulse; never negative."""
-    if query.source.kind == SINGLE_PHOTON:
-        obs = single_photon_link(query.channel, query.length_km)
-    else:
-        obs = decoy_link(query.channel, query.length_km, query.source.s)
-    if obs.q1 == 0.0 and obs.q_x == 0.0:
-        return 0.0
-    privacy = _privacy_factor(obs, query.attack)
-    if privacy is None:
-        return 0.0
-    rate = (obs.q1 * privacy
-            - obs.q_x * query.channel.f_ec * binary_entropy(obs.e_x))
-    return max(0.0, rate)
+    return rates_at(query.channel, query.source, (query.attack,),
+                    query.length_km)[0]
 
 
 def rate_at(channel: ChannelParams, source: SourceModel, attack: AttackModel,
@@ -127,13 +154,11 @@ def rate_at(channel: ChannelParams, source: SourceModel, attack: AttackModel,
     return key_rate(RateQuery(channel, source, attack, length_km))
 
 
-def sweep_distance(channel: ChannelParams, source: SourceModel,
-                   attack: AttackModel, l_min: float, l_max: float,
-                   step: float) -> RateSeries:
-    """Evaluate key_rate on the inclusive grid l_min, l_min+step, ... l_max.
+def sweep_lengths(l_min: float, l_max: float, step: float) -> list[float]:
+    """The inclusive grid l_min, l_min+step, ... l_max of a distance sweep.
 
-    Rates below RATE_FLOOR are reported as 0 with secure=False.  A grid of
-    more than MAX_GRID_POINTS points raises ValueError before any rate.
+    A grid of more than MAX_GRID_POINTS points raises ValueError, so a bad
+    step fails before any rate is evaluated.
     """
     for name, value in (("l_min", l_min), ("l_max", l_max), ("step", step)):
         if not math.isfinite(value):
@@ -144,11 +169,20 @@ def sweep_distance(channel: ChannelParams, source: SourceModel,
     if last >= MAX_GRID_POINTS:
         raise ValueError(f"sweep grid exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS} "
                          "points; raise step or narrow [l_min, l_max]")
-    count = int(math.floor(last))
+    return [l_min + i * step for i in range(int(math.floor(last)) + 1)]
+
+
+def sweep_distance(channel: ChannelParams, source: SourceModel,
+                   attack: AttackModel, l_min: float, l_max: float,
+                   step: float) -> RateSeries:
+    """Evaluate the key rate on the grid of sweep_lengths(l_min, l_max, step).
+
+    Rates below RATE_FLOOR are reported as 0 with secure=False.
+    """
+    attack_list = (attack,)
     points = []
-    for i in range(count + 1):
-        length = l_min + i * step
-        rate = rate_at(channel, source, attack, length)
+    for length in sweep_lengths(l_min, l_max, step):
+        rate = rates_at(channel, source, attack_list, length)[0]
         if rate < RATE_FLOOR:
             points.append(RatePoint(length, 0.0, False))
         else:
@@ -162,15 +196,17 @@ def _last_positive(rate_of, hi: float, rel_tol: float, abs_tol: float,
 
     Raises NoPositiveRateError(no_key) when rate_of(0) is not positive and
     returns hi when rate_of(hi) still is.  Otherwise halves the bracket
-    until it is no wider than max(rel_tol * hi, abs_tol) and returns its
-    midpoint.
+    until it is no wider than max(rel_tol * hi, abs_tol), or MAX_HALVINGS
+    times, and returns its midpoint.
     """
     if rate_of(0.0) <= 0.0:
         raise NoPositiveRateError(no_key)
     lo = 0.0
     if rate_of(hi) > 0.0:
         return hi
-    while hi - lo > max(rel_tol * hi, abs_tol):
+    for _ in range(MAX_HALVINGS):
+        if hi - lo <= max(rel_tol * hi, abs_tol):
+            break
         mid = 0.5 * (lo + hi)
         if rate_of(mid) > 0.0:
             lo = mid
@@ -228,9 +264,8 @@ def verify_convexity(channel: ChannelParams, source: SourceModel,
             raise ValueError("kind 'none' only admits mu = 0")
         return True
 
-    def rate_of(mu: float) -> float:
-        return rate_at(channel, source, AttackModel(attack_kind, mu), length_km)
-
-    midpoint = rate_of(0.5 * (mu1 + mu2))
-    average = 0.5 * (rate_of(mu1) + rate_of(mu2))
-    return midpoint <= average + CONVEXITY_SLACK
+    midpoint, rate1, rate2 = rates_at(
+        channel, source, (AttackModel(attack_kind, 0.5 * (mu1 + mu2)),
+                          AttackModel(attack_kind, mu1),
+                          AttackModel(attack_kind, mu2)), length_km)
+    return midpoint <= 0.5 * (rate1 + rate2) + CONVEXITY_SLACK

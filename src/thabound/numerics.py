@@ -1,7 +1,8 @@
 """Scalar primitives shared by every other module.
 
-Binary entropy, decibel conversions, and a probability validator that
-absorbs floating-point spill at the boundaries.
+Binary entropy, decibel conversions, a probability validator that
+absorbs floating-point spill at the boundaries, and the validating
+``_make`` of the package's record types.
 """
 
 import math
@@ -27,6 +28,15 @@ def probability(value: float) -> float:
     if 1.0 < value <= 1.0 + BOUNDARY_GUARD:
         return 1.0
     raise ValueError(f"not a probability: {value!r}")
+
+
+def validated_make(cls, iterable):
+    """``_make`` for a validating named tuple: build through ``cls.__new__``.
+
+    The stock ``_make``, which ``_replace`` also uses, skips ``__new__`` and
+    so would return records that were never validated.
+    """
+    return cls(*iterable)
 
 
 def binary_entropy(p: float) -> float:

@@ -31,6 +31,34 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(0.2, 0.1, 0.01, 1e-5, 0.9)
 
+    def test_boundary_spill_accepted_unchanged(self):
+        spilled = ChannelParams(0.2, 1.0 + 1e-13, 0.01, -1e-13, 1.2)
+        assert spilled.eta_det == 1.0 + 1e-13
+        assert spilled.p_dark == -1e-13
+
+
+class TestRecordsAreValidatedTuples:
+    def test_equal_to_plain_tuple_of_fields(self):
+        assert CHANNEL == (0.2, 0.125, 0.01, 1e-5, 1.2)
+        assert tuple(SourceModel("decoy", 0.5)) == ("decoy", 0.5)
+
+    def test_keywords_and_defaults(self):
+        assert ChannelParams(f_ec=1.2, p_dark=1e-5, e_opt=0.01, eta_det=0.125,
+                             alpha_db_per_km=0.2) == CHANNEL
+        assert SourceModel("single_photon").s is None
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            CHANNEL.eta_det = 0.5
+        with pytest.raises(AttributeError):
+            CHANNEL.extra = 1.0
+
+    def test_replace_and_make_validate(self):
+        with pytest.raises(ValueError, match="f_ec"):
+            CHANNEL._replace(f_ec=0.5)
+        with pytest.raises(ValueError, match="unknown source kind"):
+            SourceModel._make(("entangled", None))
+
 
 class TestSourceModel:
     def test_single_photon_takes_no_intensity(self):

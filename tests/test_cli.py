@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from thabound import cli
 from thabound.attacks import AttackModel, general_tha, no_attack
 from thabound.channel import ChannelParams, decoy_state, single_photon
 from thabound.cli import SWEEP_CSV_HEADER, config_from_json, main
@@ -265,6 +266,32 @@ class TestBudgetCommand:
         assert "x -55" in out
         assert "x -60" not in out
 
+    def test_json_fields_in_record_order(self, tmp_path, capsys):
+        out = tmp_path / "budget.json"
+        assert main([*BUDGET, "--output", str(out)]) == 0
+        for entry in json.loads(out.read_text())["budgets"]:
+            assert list(entry) == ["filter_db", "isolator_db", "isolator_count",
+                                   "attenuator_db", "reflectivity_db",
+                                   "total_db"]
+
+    @pytest.mark.parametrize("config, field", [
+        ([1], "catalog"),
+        ({"catalog": [1]}, "catalog"),
+        ({"catalog": {"isolator_db_values": -50}}, "isolator_db_values"),
+        ({"catalog": {"filter_db_values": [None]}}, "filter_db_values"),
+        ({"catalog": {"reflectivity_db_values": ["deep"]}},
+         "reflectivity_db_values"),
+    ])
+    def test_malformed_config_exits_one_without_output(self, tmp_path, capsys,
+                                                       config, field):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(config))
+        assert main([*BUDGET, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert field in captured.err
+
 
 class TestReflectivityCommand:
     def test_fixture_total(self, capsys):
@@ -358,6 +385,27 @@ class TestConvexityCommand:
         main(["convexity", "--pairs", "10"])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--pairs", "-5"], "--pairs"),
+        (["--pairs", "0"], "--pairs"),
+        (["--pairs", str(cli.MAX_CONVEXITY_PAIRS + 1)], "--pairs"),
+        (["--mu-max", "nan"], "--mu-max"),
+        (["--mu-max", "inf"], "--mu-max"),
+        (["--mu-max", "0"], "--mu-max"),
+        (["--mu-max", "-0.5"], "--mu-max"),
+    ])
+    def test_bad_bounds_exit_one_without_output(self, capsys, flags, field):
+        assert main(["convexity", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
+
+    def test_pairs_cap_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_CONVEXITY_PAIRS", 2)
+        assert main(["convexity", "--pairs", "2"]) == 0
+        assert "checked 12 pairs, 0 violations" in capsys.readouterr().out
+        assert main(["convexity", "--pairs", "3"]) == 1
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -392,6 +440,9 @@ class TestNonFiniteInput:
         (["--e-opt", "inf"], "e_opt"),
         (["--p-dark", "inf"], "p_dark"),
         (["--l-max", "200", "--step", "0.001"], "MAX_GRID_POINTS"),
+        (["--eta-det", "2"], "eta_det"),
+        (["--e-opt", "-0.5"], "e_opt"),
+        (["--p-dark", "1.5"], "p_dark"),
     ])
     def test_sweep_exits_one_without_output(self, tmp_path, capsys, flags,
                                             field):

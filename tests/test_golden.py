@@ -11,13 +11,20 @@ in a fresh directory.
 Every seed-0 CLI op of the benchmark, and the first chunk of its library
 calls, must also pass ``benchmarks/checks.py``, so a broken output or
 library contract fails here before the benchmark counts failed ops.
+
+The benchmark's per-layer metrics need every name its tracer wraps and
+every module it times the import of; a metric whose name is gone is left
+out of its result, so those names are checked here too.
 """
 
 import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +44,8 @@ def _load(name):
 
 INPUTS = _load("inputs")
 CHECKS = _load("checks")
+SPANS = _load("spans")
+RUN = _load("run")
 PLANNING_OPS, INPUT_FILES = INPUTS.cli_planning_ops(0)
 CLI_OPS = INPUTS.cli_figures_ops(0) + PLANNING_OPS
 GOLDEN_OPS = {op["golden"]: op for op in CLI_OPS if "golden" in op}
@@ -92,3 +101,36 @@ def test_library_chunk_passes_benchmark_checks():
         if problem:
             problems.append(f"call {index} ({kind}): {problem}")
     assert problems == []
+
+
+def test_every_traced_name_resolves():
+    recorder = SPANS.Recorder()
+    recorder.install()
+    try:
+        assert recorder.missing == []
+    finally:
+        recorder.uninstall()
+
+
+def _import_cli_stderr(*flags: str) -> str:
+    """Standard error of `python FLAGS -X importtime -c "import thabound.cli"`."""
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *flags, "-X", "importtime", "-c", "import thabound.cli"],
+        env=env, capture_output=True, text=True, check=True).stderr
+
+
+def test_cli_import_times_every_module():
+    found = RUN.parse_importtime(_import_cli_stderr())
+    wanted = ["cli.import_ms"] + [f"{m}.import_ms" for m in RUN.IMPORTED]
+    assert [name for name in wanted if name not in found] == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    # The records are named tuples; dataclasses and the inspect module it
+    # pulls in were the largest part of this import.  -S keeps whatever
+    # the site's .pth files import out of the list.
+    loaded = {line.rpartition("|")[2].strip()
+              for line in _import_cli_stderr("-S").splitlines()}
+    assert {"dataclasses", "inspect"} & loaded == set()

@@ -10,15 +10,20 @@ from thabound.attacks import (
 )
 from thabound.channel import ChannelParams, decoy_state, single_photon
 from thabound.keyrate import (
+    MAX_GRID_POINTS,
+    MAX_HALVINGS,
     NoPositiveRateError,
     RatePoint,
     RateQuery,
     RateSeries,
+    _last_positive,
     key_rate,
     max_distance,
     mu_out_threshold,
     rate_at,
+    rates_at,
     sweep_distance,
+    sweep_lengths,
     verify_convexity,
 )
 
@@ -68,6 +73,50 @@ class TestNoAttackIdentity:
                 assert attacked == baseline
 
 
+class TestRatesAt:
+    ATTACKS = (no_attack(), general_tha(1e-6), general_tha(0.3),
+               passive_tha(0.1), usd_tha(1e-2), usd_tha(0.5), general_tha(1e-6))
+
+    @pytest.mark.parametrize("source", [SP, DECOY], ids=["sp", "decoy"])
+    @pytest.mark.parametrize("length", [0.0, 37.5, 150.0, 400.0])
+    def test_each_rate_as_if_evaluated_alone(self, source, length):
+        together = rates_at(CHANNEL, source, self.ATTACKS, length)
+        alone = [key_rate(RateQuery(CHANNEL, source, attack, length))
+                 for attack in self.ATTACKS]
+        assert together == alone
+
+    def test_no_detections_gives_one_zero_per_attack(self):
+        dark = ChannelParams(0.2, 0.0, 0.01, 0.0, 1.2)
+        assert rates_at(dark, SP, self.ATTACKS, 10.0) == [0.0] * len(self.ATTACKS)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="length_km"):
+            rates_at(CHANNEL, SP, self.ATTACKS, -1.0)
+
+
+class TestLastPositive:
+    def test_zero_tolerance_stops_after_max_halvings(self):
+        calls = []
+
+        def rate_of(x):
+            calls.append(x)
+            return 1.0 if x < 0.3 else 0.0
+
+        result = _last_positive(rate_of, 1.0, 0.0, 0.0, "no key")
+        assert abs(result - 0.3) <= 1e-15
+        assert len(calls) == 2 + MAX_HALVINGS
+
+    def test_stops_on_tolerance_first(self):
+        calls = []
+
+        def rate_of(x):
+            calls.append(x)
+            return 1.0 if x < 0.3 else 0.0
+
+        _last_positive(rate_of, 1.0, 0.0, 2.0 ** -10, "no key")
+        assert len(calls) == 2 + 10
+
+
 class TestRateQueryValidation:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
@@ -110,6 +159,16 @@ class TestSweepDistance:
             sweep_distance(CHANNEL, SP, no_attack(), 10.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             sweep_distance(CHANNEL, SP, no_attack(), 0.0, 10.0, 0.0)
+
+    def test_single_length_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty sweep grid"):
+            sweep_distance(CHANNEL, SP, no_attack(), 5.0, 5.0, 1.0)
+
+    def test_grid_cap_is_inclusive(self):
+        last = float(MAX_GRID_POINTS - 1)
+        assert len(sweep_lengths(0.0, last, 1.0)) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            sweep_lengths(0.0, last + 1.0, 1.0)
 
 
 class TestThresholdSearch:
