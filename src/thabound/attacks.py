@@ -43,7 +43,8 @@ class AttackModel(namedtuple("AttackModel", "kind mu_out")):
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
+            raise ValueError(f"unknown attack kind {self.kind!r}; choose from "
+                             f"{', '.join(ATTACK_KINDS)}")
         if not math.isfinite(self.mu_out):
             raise ValueError(f"mu_out must be finite, got {self.mu_out!r}")
         if self.mu_out < 0.0:

@@ -138,10 +138,13 @@ class IsolationBudget(namedtuple("IsolationBudget",
     _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
-        for value in (self.filter_db, self.isolator_db, self.attenuator_db,
-                      self.reflectivity_db):
-            if value > 0.0:
-                raise ValueError("component values must be <= 0 dB")
+        # Written so that NaN and -inf fail the comparisons.
+        if not (-math.inf < self.filter_db <= 0.0
+                and -math.inf < self.isolator_db <= 0.0
+                and -math.inf < self.attenuator_db <= 0.0
+                and -math.inf < self.reflectivity_db <= 0.0):
+            raise ValueError("component values must be finite and <= 0 dB, "
+                             f"got {self!r}")
         if self.isolator_count < 0 or self.isolator_count != int(self.isolator_count):
             raise ValueError("isolator_count must be a nonnegative integer")
 

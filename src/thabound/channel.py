@@ -37,8 +37,7 @@ class ChannelParams(namedtuple("ChannelParams",
     _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
-        for name in ("alpha_db_per_km", "eta_det", "e_opt", "p_dark", "f_ec"):
-            value = getattr(self, name)
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha_db_per_km < 0.0:
@@ -50,6 +49,10 @@ class ChannelParams(namedtuple("ChannelParams",
             except ValueError:
                 raise ValueError(
                     f"{name} must be a probability in [0, 1], got {value!r}") from None
+        # e1 is a weighted mean of e_opt and 1/2, so a larger e_opt leaves
+        # every QBER above 1/2.
+        if self.e_opt > 0.5:
+            raise ValueError(f"e_opt must be at most 1/2, got {self.e_opt!r}")
         if self.f_ec < 1.0:
             raise ValueError("f_ec must be >= 1")
 
@@ -121,28 +124,36 @@ class LinkObservables(namedtuple("LinkObservables", "q_x e_x y1 e1 q1")):
 
 def transmittance(params: ChannelParams, length_km: float) -> float:
     """Overall transmission eta = eta_det * 10^(-alpha L / 10)."""
-    if length_km < 0.0:
-        raise ValueError("length_km must be >= 0")
+    # Written so that NaN and +inf fail the comparison.
+    if not 0.0 <= length_km < math.inf:
+        raise ValueError(f"length_km must be finite and >= 0, got {length_km!r}")
     return params.eta_det * 10.0 ** (-params.alpha_db_per_km * length_km / 10.0)
+
+
+def _single_photon_terms(params: ChannelParams, eta: float) -> tuple[float, float]:
+    """(Y1, e1) at transmission eta; (0, 1/2) when nothing ever clicks.
+
+    Y1 = eta + (1 - eta) p_dark and the error combines the optical error on
+    detected photons with random dark counts:
+    e1 = (e_opt eta + (1 - eta) p_dark / 2) / Y1.
+    """
+    y1 = eta + (1.0 - eta) * params.p_dark
+    if y1 == 0.0:
+        # No detector clicks at all; the QBER is conventionally 1/2 (only
+        # the all-zero channel reaches this).
+        return 0.0, 0.5
+    e1 = (params.e_opt * eta + 0.5 * (1.0 - eta) * params.p_dark) / y1
+    return y1, probability(e1)
 
 
 def single_photon_link(params: ChannelParams, length_km: float) -> LinkObservables:
     """Observables for a true single-photon source.
 
-    Y1 = eta + (1 - eta) p_dark and the error combines the optical error on
-    detected photons with random dark counts:
-    e1 = (e_opt eta + (1 - eta) p_dark / 2) / Y1.
-    The basis-choice factor is 1 (efficient BB84, asymptotic limit).
+    Every detection is a single-photon one, so the gain and QBER are Y1 and
+    e1.  The basis-choice factor is 1 (efficient BB84, asymptotic limit).
     """
-    eta = transmittance(params, length_km)
-    y1 = eta + (1.0 - eta) * params.p_dark
-    if y1 == 0.0:
-        # No detector clicks at all; every observable is zero and the QBER
-        # is conventionally 1/2 (only the all-zero channel reaches this).
-        return LinkObservables(q_x=0.0, e_x=0.5, y1=0.0, e1=0.5, q1=0.0)
-    e1 = (params.e_opt * eta + 0.5 * (1.0 - eta) * params.p_dark) / y1
-    e1 = probability(e1)
-    return LinkObservables(q_x=y1, e_x=e1, y1=y1, e1=e1, q1=y1)
+    y1, e1 = _single_photon_terms(params, transmittance(params, length_km))
+    return LinkObservables(y1, e1, y1, e1, y1)
 
 
 def decoy_link(params: ChannelParams, length_km: float, s: float) -> LinkObservables:
@@ -159,10 +170,10 @@ def decoy_link(params: ChannelParams, length_km: float, s: float) -> LinkObserva
     eta = transmittance(params, length_km)
     vac = math.exp(-eta * s)
     q_s = 1.0 - (1.0 - params.p_dark) * vac
-    base = single_photon_link(params, length_km)
+    y1, e1 = _single_photon_terms(params, eta)
     if q_s == 0.0:
-        return LinkObservables(q_x=0.0, e_x=0.5, y1=base.y1, e1=base.e1, q1=0.0)
+        return LinkObservables(0.0, 0.5, y1, e1, 0.0)
     e_s = (0.5 * params.p_dark * vac + params.e_opt * (1.0 - vac)) / q_s
     e_s = probability(e_s)
-    q1 = s * math.exp(-s) * base.y1
-    return LinkObservables(q_x=q_s, e_x=e_s, y1=base.y1, e1=base.e1, q1=q1)
+    q1 = s * math.exp(-s) * y1
+    return LinkObservables(q_s, e_s, y1, e1, q1)

@@ -53,6 +53,21 @@ PRESET_CHANNEL = ChannelParams(alpha_db_per_km=0.2, eta_det=0.125,
 
 PRESET_SWEEP = (0.0, 200.0, 1.0)
 
+_GENERAL_MU = (1e-8, 1e-6, 1e-4, 1e-2)
+_PASSIVE_MU = (1e-2, 1e-1, 3e-1)
+_USD_MU = (1e-3, 1e-2, 3e-2)
+
+# Figure presets, by name: source kind, decoy intensity s, attack kind and
+# the mu_out of each attack block, all on PRESET_CHANNEL and PRESET_SWEEP.
+PRESETS = {
+    "fig3": (SINGLE_PHOTON, None, attacks_mod.GENERAL, _GENERAL_MU),
+    "fig4": (DECOY, 0.5, attacks_mod.GENERAL, _GENERAL_MU),
+    "fig9": (SINGLE_PHOTON, None, attacks_mod.PASSIVE, _PASSIVE_MU),
+    "fig10": (DECOY, 0.5, attacks_mod.PASSIVE, _PASSIVE_MU),
+    "fig11": (SINGLE_PHOTON, None, attacks_mod.USD, _USD_MU),
+    "fig12": (DECOY, 0.5, attacks_mod.USD, _USD_MU),
+}
+
 
 class UsageError(Exception):
     """Bad command line; mapped to exit code 1."""
@@ -63,11 +78,8 @@ def config_from_json(text: str) -> tuple:
     data = json.loads(text)
     try:
         channel = ChannelParams(**data["channel"])
-        source_data = data["source"]
-        if source_data["kind"] == SINGLE_PHOTON:
-            source = single_photon()
-        else:
-            source = decoy_state(float(source_data["s"]))
+        kind, s = data["source"]["kind"], data["source"].get("s")
+        source = SourceModel(kind, None if s is None else float(s))
         attack_list = tuple(
             AttackModel(entry["kind"], float(entry.get("mu_out", 0.0)))
             for entry in data["attacks"])
@@ -80,34 +92,15 @@ def config_from_json(text: str) -> tuple:
 
 
 def _preset_config(name: str) -> tuple:
-    general_mu = (1e-8, 1e-6, 1e-4, 1e-2)
-    passive_mu = (1e-2, 1e-1, 3e-1)
-    usd_mu = (1e-3, 1e-2, 3e-2)
-    table = {
-        "fig3": (single_photon(), attacks_mod.GENERAL, general_mu),
-        "fig4": (decoy_state(0.5), attacks_mod.GENERAL, general_mu),
-        "fig9": (single_photon(), attacks_mod.PASSIVE, passive_mu),
-        "fig10": (decoy_state(0.5), attacks_mod.PASSIVE, passive_mu),
-        "fig11": (single_photon(), attacks_mod.USD, usd_mu),
-        "fig12": (decoy_state(0.5), attacks_mod.USD, usd_mu),
-    }
-    if name not in table:
-        raise UsageError(f"unknown preset {name!r}")
-    source, kind, mu_values = table[name]
+    source_kind, s, kind, mu_values = PRESETS[name]
     attack_list = (no_attack(),) + tuple(AttackModel(kind, mu) for mu in mu_values)
-    return PRESET_CHANNEL, source, attack_list, PRESET_SWEEP, f"{name}.csv"
-
-
-PRESET_NAMES = ("fig3", "fig4", "fig9", "fig10", "fig11", "fig12")
+    return (PRESET_CHANNEL, SourceModel(source_kind, s), attack_list, PRESET_SWEEP,
+            f"{name}.csv")
 
 
 def _parse_attack_spec(spec: str) -> AttackModel:
     """Parse an --attack value: 'none', or 'kind:mu' like 'general:1e-6'."""
     kind, _, mu_text = spec.partition(":")
-    if kind not in attacks_mod.ATTACK_KINDS:
-        raise argparse.ArgumentTypeError(
-            f"unknown attack kind {kind!r}; choose from "
-            f"{', '.join(attacks_mod.ATTACK_KINDS)}")
     try:
         return AttackModel(kind, float(mu_text) if mu_text else 0.0)
     except ValueError as exc:
@@ -116,7 +109,7 @@ def _parse_attack_spec(spec: str) -> AttackModel:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--preset", choices=PRESET_NAMES,
+    group.add_argument("--preset", choices=PRESETS,
                        help="bundled figure configuration")
     group.add_argument("--config", metavar="PATH",
                        help="JSON config file")
@@ -127,9 +120,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--attack", action="append", type=_parse_attack_spec,
                         metavar="KIND[:MU]", dest="attack_list",
                         help="attack entry, e.g. general:1e-6; repeatable")
-    parser.add_argument("--l-min", type=float, metavar="KM")
-    parser.add_argument("--l-max", type=float, metavar="KM")
-    parser.add_argument("--step", type=float, metavar="KM")
     parser.add_argument("--output", metavar="PATH",
                         help="output path override")
     parser.add_argument("--alpha-db-per-km", type=float, metavar="DB")
@@ -139,14 +129,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f-ec", type=float, metavar="F")
 
 
-CHANNEL_FIELDS = ("alpha_db_per_km", "eta_det", "e_opt", "p_dark", "f_ec")
-
-
 def _resolve_config(args: argparse.Namespace) -> tuple:
     """(channel, source, attacks, sweep, output_path) of a sweep or threshold.
 
     Starts from the preset, the --config file or the defaults, then applies
-    every override flag that was given.
+    every channel, source, attack and output flag that was given.
     """
     if args.preset:
         channel, source, attack_list, sweep, output_path = _preset_config(args.preset)
@@ -158,27 +145,24 @@ def _resolve_config(args: argparse.Namespace) -> tuple:
         channel, source, attack_list, sweep, output_path = (
             PRESET_CHANNEL, single_photon(), (), PRESET_SWEEP, "sweep.csv")
 
-    overrides = [getattr(args, field) for field in CHANNEL_FIELDS]
-    if any(value is not None for value in overrides):
-        channel = ChannelParams(*(
-            getattr(channel, field) if value is None else value
-            for field, value in zip(CHANNEL_FIELDS, overrides)))
+    overrides = {field: getattr(args, field) for field in channel._fields
+                 if getattr(args, field) is not None}
+    if overrides:
+        channel = channel._replace(**overrides)
 
-    if args.source == SINGLE_PHOTON:
-        source = single_photon()
-    elif args.source == DECOY:
-        if args.decoy_s is None and source.kind != DECOY:
-            raise UsageError("--source decoy needs --decoy-s")
-        source = decoy_state(args.decoy_s if args.decoy_s is not None else source.s)
-    elif args.decoy_s is not None:
-        if source.kind != DECOY:
+    kind = args.source or source.kind
+    s = args.decoy_s
+    if kind == SINGLE_PHOTON:
+        if s is not None:
             raise UsageError("--decoy-s only applies to a decoy source")
-        source = decoy_state(args.decoy_s)
+    elif s is None:
+        if source.kind != DECOY:
+            raise UsageError("--source decoy needs --decoy-s")
+        s = source.s
+    source = SourceModel(kind, s)
 
     if args.attack_list:
         attack_list = tuple(args.attack_list)
-    sweep = tuple(value if flag is None else flag
-                  for value, flag in zip(sweep, (args.l_min, args.l_max, args.step)))
     return channel, source, attack_list, sweep, args.output or output_path
 
 
@@ -227,6 +211,8 @@ def _gnuplot_script(csv_path: str, blocks: list[AttackModel],
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     channel, source, attack_list, sweep, output_path = _resolve_config(args)
+    sweep = tuple(value if flag is None else flag
+                  for value, flag in zip(sweep, (args.l_min, args.l_max, args.step)))
     blocks = _sorted_attacks(attack_list)
 
     # Rates are evaluated length by length, all blocks at once, and written
@@ -463,6 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rate vs distance CSV + plot script")
     _add_config_flags(p_sweep)
+    p_sweep.add_argument("--l-min", type=float, metavar="KM")
+    p_sweep.add_argument("--l-max", type=float, metavar="KM")
+    p_sweep.add_argument("--step", type=float, metavar="KM")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_thresh = sub.add_parser("threshold",

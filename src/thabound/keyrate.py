@@ -64,8 +64,9 @@ class RateQuery(namedtuple("RateQuery", "channel source attack length_km")):
     _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
-        if self.length_km < 0.0:
-            raise ValueError("length_km must be >= 0")
+        # Written so that NaN and +inf fail the comparison.
+        if not 0.0 <= self.length_km < math.inf:
+            raise ValueError(f"length_km must be finite and >= 0, got {self.length_km!r}")
 
 
 RatePoint = namedtuple("RatePoint", "length_km rate secure")
@@ -255,15 +256,9 @@ def verify_convexity(channel: ChannelParams, source: SourceModel,
     True iff rate((mu1+mu2)/2) <= [rate(mu1) + rate(mu2)] / 2 up to a small
     slack.  Convexity is what makes a constant-intensity probe optimal for
     the eavesdropper: splitting the same mean photon number unevenly across
-    pulses never hurts her.
+    pulses never hurts her.  The AttackModel records reject a negative or
+    non-finite mu, and a nonzero one for kind 'none'.
     """
-    if mu1 < 0.0 or mu2 < 0.0:
-        raise ValueError("mu values must be >= 0")
-    if attack_kind == attacks.NO_ATTACK:
-        if mu1 != 0.0 or mu2 != 0.0:
-            raise ValueError("kind 'none' only admits mu = 0")
-        return True
-
     midpoint, rate1, rate2 = rates_at(
         channel, source, (AttackModel(attack_kind, 0.5 * (mu1 + mu2)),
                           AttackModel(attack_kind, mu1),

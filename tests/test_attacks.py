@@ -18,6 +18,12 @@ from thabound.attacks import (
 
 
 class TestAttackModel:
+    def test_unknown_kind_lists_the_kinds(self):
+        with pytest.raises(ValueError) as info:
+            AttackModel("quantum")
+        assert str(info.value) == ("unknown attack kind 'quantum'; choose from "
+                                   "none, general, passive, usd")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             AttackModel("siphon", 0.1)
@@ -131,6 +137,9 @@ class TestPhaseErrorGeneral:
 
     def test_vacuous_propagates(self):
         assert phase_error_general(0.01, None) is None
+
+    def test_vacuous_at_half_imbalance(self):
+        assert phase_error_general(0.01, 0.5) is None
 
     def test_clamped_at_half(self):
         assert phase_error_general(0.3, 0.4) == 0.5

@@ -123,6 +123,13 @@ class TestIsolationBudget:
         with pytest.raises(ValueError):
             IsolationBudget(isolator_count=-1)
 
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    @pytest.mark.parametrize("field", ["filter_db", "isolator_db",
+                                       "attenuator_db", "reflectivity_db"])
+    def test_nan_and_minus_inf_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite and <= 0 dB"):
+            IsolationBudget(**{field: value})
+
 
 class TestLeakageArithmetic:
     def test_leakage_bound_round_trip(self):

@@ -3,8 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from thabound import channel as channel_mod
 from thabound.channel import (
     ChannelParams,
+    LinkObservables,
     SourceModel,
     decoy_link,
     single_photon_link,
@@ -35,6 +37,15 @@ class TestChannelParams:
         spilled = ChannelParams(0.2, 1.0 + 1e-13, 0.01, -1e-13, 1.2)
         assert spilled.eta_det == 1.0 + 1e-13
         assert spilled.p_dark == -1e-13
+
+    @pytest.mark.parametrize("e_opt", [0.5 + 1e-12, 0.6, 1.0])
+    def test_optical_error_above_half_rejected(self, e_opt):
+        # Accepted up to 1/2 + 1e-12 before, where e_x spilled past 1/2.
+        with pytest.raises(ValueError, match=r"e_opt must be at most 1/2, got "):
+            ChannelParams(0.2, 0.1, e_opt, 1e-5, 1.2)
+
+    def test_optical_error_of_half_accepted(self):
+        assert ChannelParams(0.2, 0.1, 0.5, 1e-5, 1.2).e_opt == 0.5
 
 
 class TestRecordsAreValidatedTuples:
@@ -95,6 +106,12 @@ class TestTransmittance:
         assert transmittance(CHANNEL, hi) <= transmittance(CHANNEL, lo)
 
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_length_named(self, channel, length):
+        with pytest.raises(ValueError, match="length_km must be finite and >= 0"):
+            transmittance(channel, length)
+
+
 class TestSinglePhotonLink:
     def test_frozen_values_at_zero(self, channel):
         obs = single_photon_link(channel, 0.0)
@@ -151,6 +168,28 @@ class TestDecoyLink:
         s = 0.7
         dc = decoy_link(channel, 30.0, s)
         assert dc.q1 == pytest.approx(s * math.exp(-s) * dc.y1, rel=1e-15)
+
+    def test_one_transmittance_and_one_record_per_point(self, channel,
+                                                         monkeypatch):
+        calls = []
+        built = []
+        real_transmittance = channel_mod.transmittance
+        real_post_init = LinkObservables.__post_init__
+
+        def count_transmittance(params, length_km):
+            calls.append(length_km)
+            return real_transmittance(params, length_km)
+
+        def count_post_init(self):
+            built.append(self)
+            real_post_init(self)
+
+        monkeypatch.setattr(channel_mod, "transmittance", count_transmittance)
+        monkeypatch.setattr(channel_mod, "single_photon_link", None)
+        monkeypatch.setattr(LinkObservables, "__post_init__", count_post_init)
+        obs = decoy_link(channel, 25.0, 0.5)
+        assert calls == [25.0]
+        assert built == [obs]
 
     def test_intensity_must_be_positive(self, channel):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 import json
+import math
 
 import pytest
 
-from thabound import cli
+from thabound import cli, keyrate
 from thabound.attacks import AttackModel, general_tha, no_attack
 from thabound.channel import ChannelParams, decoy_state, single_photon
 from thabound.cli import SWEEP_CSV_HEADER, config_from_json, main
+from thabound.keyrate import rates_at
 
 from conftest import DATA_DIR, read_sweep_csv
 
@@ -155,6 +157,18 @@ class TestSweepCommand:
         assert code == 0
         rows = read_sweep_csv(str(out))
         assert all(r.source == "decoy:0.5" for r in rows)
+
+    def test_rate_at_floor_written_as_repr(self, tmp_path, monkeypatch):
+        rate = rates_at(CHANNEL, single_photon(), (general_tha(1e-4),), 10.0)[0]
+        argv = ["sweep", "--attack", "general:1e-4", "--l-max", "10",
+                "--step", "10", "--output", str(tmp_path / "out.csv")]
+        for floor, cell in ((rate, repr(rate)),
+                            (math.nextafter(rate, math.inf), "0")):
+            monkeypatch.setattr(keyrate, "RATE_FLOOR", floor)
+            monkeypatch.setattr(cli, "RATE_FLOOR", floor)
+            assert main(argv) == 0
+            last = (tmp_path / "out.csv").read_text().splitlines()[-1]
+            assert last == f"10.0,0.0001,general,single_photon,{cell}"
 
 
 class TestThresholdCommand:
@@ -418,6 +432,16 @@ class TestUsageErrors:
     def test_bad_attack_spec(self, capsys):
         assert main(["sweep", "--attack", "quantum:1"]) == 1
 
+    def test_unknown_attack_kind_message(self, capsys):
+        assert main(["sweep", "--attack", "quantum:1"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: argument --attack: unknown attack kind 'quantum'; "
+            "choose from none, general, passive, usd\n")
+
+    def test_unparsable_leakage_reports_the_float_error(self, capsys):
+        assert main(["sweep", "--attack", "quantum:abc"]) == 1
+        assert "could not convert string to float: 'abc'" in capsys.readouterr().err
+
     def test_preset_and_config_conflict(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("{}")
@@ -443,6 +467,7 @@ class TestNonFiniteInput:
         (["--eta-det", "2"], "eta_det"),
         (["--e-opt", "-0.5"], "e_opt"),
         (["--p-dark", "1.5"], "p_dark"),
+        (["--e-opt", "0.6"], "e_opt must be at most 1/2, got 0.6"),
     ])
     def test_sweep_exits_one_without_output(self, tmp_path, capsys, flags,
                                             field):
@@ -468,3 +493,62 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert field in captured.err
+
+
+class TestOneOwnerPerRule:
+    """Each input rule is decided by the record or parser that owns it."""
+
+    @pytest.mark.parametrize("flags, label", [
+        ([], "single_photon"),
+        (["--preset", "fig4"], "decoy:0.5"),
+        (["--preset", "fig4", "--source", "decoy"], "decoy:0.5"),
+        (["--preset", "fig4", "--decoy-s", "0.3"], "decoy:0.3"),
+        (["--preset", "fig4", "--source", "single_photon"], "single_photon"),
+        (["--source", "decoy", "--decoy-s", "0.2"], "decoy:0.2"),
+    ])
+    def test_source_resolution(self, flags, label):
+        args = cli.build_parser().parse_args(["sweep", *flags])
+        assert cli._resolve_config(args)[1].label() == label
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--source", "single_photon", "--decoy-s", "0.5"],
+         "--decoy-s only applies to a decoy source"),
+        (["--preset", "fig4", "--source", "single_photon", "--decoy-s", "0.5"],
+         "--decoy-s only applies to a decoy source"),
+        (["--decoy-s", "0.5"], "--decoy-s only applies to a decoy source"),
+        (["--source", "decoy"], "--source decoy needs --decoy-s"),
+    ])
+    def test_source_flags_exit_one_without_output(self, tmp_path, capsys,
+                                                  flags, message):
+        code = main(["sweep", "--output", str(tmp_path / "out.csv"), *flags])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source, message", [
+        ({"kind": "entangled"}, "unknown source kind 'entangled'"),
+        ({"kind": "single_photon", "s": 0.5}, "takes no intensity"),
+        ({"kind": "decoy"}, "decoy source needs signal intensity s > 0"),
+        ({"s": 0.5}, "bad config: 'kind'"),
+        ("decoy", "bad config"),
+    ])
+    def test_config_source_exits_one_without_output(self, tmp_path, capsys,
+                                                    source, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config_dict(tmp_path, source=source)))
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_channel_override_keeps_other_fields(self):
+        args = cli.build_parser().parse_args(
+            ["threshold", "--preset", "fig3", "--e-opt", "0.02"])
+        assert cli._resolve_config(args)[0] == cli.PRESET_CHANNEL._replace(e_opt=0.02)
+
+    @pytest.mark.parametrize("flag", ["--l-min", "--l-max", "--step"])
+    def test_threshold_takes_no_grid_flags(self, capsys, flag):
+        assert main(["threshold", "--attack", "general:0", flag, "5"]) == 1
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["threshold", "--help"])
+        assert flag not in capsys.readouterr().out

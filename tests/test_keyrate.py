@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from thabound.attacks import (
     passive_tha,
     usd_tha,
 )
+from thabound import keyrate
 from thabound.channel import ChannelParams, decoy_state, single_photon
 from thabound.keyrate import (
     MAX_GRID_POINTS,
@@ -122,6 +125,15 @@ class TestRateQueryValidation:
         with pytest.raises(ValueError):
             RateQuery(CHANNEL, SP, no_attack(), -1.0)
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_length_named(self, length):
+        with pytest.raises(ValueError, match="length_km"):
+            key_rate(RateQuery(CHANNEL, SP, no_attack(), length))
+        with pytest.raises(ValueError, match="length_km"):
+            rates_at(CHANNEL, DECOY, (no_attack(),), length)
+        with pytest.raises(ValueError, match="length_km"):
+            verify_convexity(CHANNEL, SP, "general", length, 0.0, 0.01)
+
     def test_key_rate_entry_point(self):
         query = RateQuery(CHANNEL, SP, no_attack(), 0.0)
         assert key_rate(query) == rate_at(CHANNEL, SP, no_attack(), 0.0)
@@ -159,6 +171,16 @@ class TestSweepDistance:
             sweep_distance(CHANNEL, SP, no_attack(), 10.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             sweep_distance(CHANNEL, SP, no_attack(), 0.0, 10.0, 0.0)
+
+    def test_rate_at_floor_is_kept(self, monkeypatch):
+        attack = general_tha(1e-4)
+        rate = rate_at(CHANNEL, SP, attack, 10.0)
+        for floor, point in ((rate, RatePoint(10.0, rate, True)),
+                             (math.nextafter(rate, math.inf),
+                              RatePoint(10.0, 0.0, False))):
+            monkeypatch.setattr(keyrate, "RATE_FLOOR", floor)
+            series = sweep_distance(CHANNEL, SP, attack, 0.0, 10.0, 10.0)
+            assert series.points[1] == point
 
     def test_single_length_grid_rejected(self):
         with pytest.raises(ValueError, match="empty sweep grid"):
@@ -251,6 +273,16 @@ class TestVerifyConvexity:
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
             verify_convexity(CHANNEL, SP, "general", 0.0, -0.1, 0.1)
+
+    @pytest.mark.parametrize("kind, mu1, mu2, message", [
+        ("general", -0.1, 0.1, "mu_out must be >= 0"),
+        ("passive", 0.1, math.nan, "mu_out must be finite"),
+        ("none", 0.0, 0.1, "kind 'none' requires mu_out = 0"),
+        ("siphon", 0.1, 0.1, "unknown attack kind 'siphon'"),
+    ])
+    def test_attack_rules_come_from_the_record(self, kind, mu1, mu2, message):
+        with pytest.raises(ValueError, match=message):
+            verify_convexity(CHANNEL, SP, kind, 0.0, mu1, mu2)
 
     @settings(max_examples=60)
     @given(st.floats(min_value=0.0, max_value=0.6),
