@@ -9,13 +9,7 @@ maximum distances, converts laser-damage limits into photon-number leakage,
 and plans the passive isolation budget needed to reach a target leakage.
 """
 
-from thabound.attacks import (
-    AttackModel,
-    general_tha,
-    no_attack,
-    passive_tha,
-    usd_tha,
-)
+from thabound.attacks import AttackModel, no_attack
 from thabound.channel import (
     ChannelParams,
     SourceModel,
@@ -39,14 +33,11 @@ __all__ = [
     "RateQuery",
     "SourceModel",
     "decoy_state",
-    "general_tha",
     "key_rate",
     "max_distance",
     "mu_out_threshold",
     "no_attack",
-    "passive_tha",
     "single_photon",
     "sweep_distance",
-    "usd_tha",
     "verify_convexity",
 ]

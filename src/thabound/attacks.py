@@ -57,18 +57,6 @@ def no_attack() -> AttackModel:
     return AttackModel(NO_ATTACK, 0.0)
 
 
-def general_tha(mu_out: float) -> AttackModel:
-    return AttackModel(GENERAL, mu_out)
-
-
-def passive_tha(mu_out: float) -> AttackModel:
-    return AttackModel(PASSIVE, mu_out)
-
-
-def usd_tha(mu_out: float) -> AttackModel:
-    return AttackModel(USD, mu_out)
-
-
 def coin_imbalance(mu_out: float) -> float:
     """Basis-dependence imbalance Delta = [1 - exp(-mu) cos(mu)] / 2.
 

@@ -240,14 +240,13 @@ def plan_budget(gamma_target_db: float,
     else:
         attenuators = [0.0]
 
+    # A set, so repeated catalog values give one budget; the final sort
+    # alone decides the order.
     candidates = {IsolationBudget()}
-    isolator_values = sorted(set(catalog.isolator_db_values), reverse=True)
-    reflectivity_values = sorted(set(catalog.reflectivity_db_values), reverse=True)
-    filter_values = sorted(set(catalog.filter_db_values), reverse=True)
     for count in range(MAX_ISOLATORS + 1):
-        for isolator in ([0.0] if count == 0 else isolator_values):
-            for reflectivity in reflectivity_values:
-                for filter_db in filter_values:
+        for isolator in ([0.0] if count == 0 else catalog.isolator_db_values):
+            for reflectivity in catalog.reflectivity_db_values:
+                for filter_db in catalog.filter_db_values:
                     for attenuator in attenuators:
                         candidates.add(IsolationBudget(
                             filter_db=filter_db,

@@ -73,22 +73,37 @@ class UsageError(Exception):
     """Bad command line; mapped to exit code 1."""
 
 
+def _json_number(name: str, value) -> float:
+    """A number read from a JSON config: an int or a float, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large "
+                         "for a float") from None
+
+
 def config_from_json(text: str) -> tuple:
     """(channel, source, attacks, sweep, output_path) from a JSON config."""
     data = json.loads(text)
     try:
-        channel = ChannelParams(**data["channel"])
+        channel = ChannelParams(**{name: _json_number(name, value)
+                                   for name, value in data["channel"].items()})
         kind, s = data["source"]["kind"], data["source"].get("s")
-        source = SourceModel(kind, None if s is None else float(s))
+        source = SourceModel(kind, None if s is None else _json_number("s", s))
         attack_list = tuple(
-            AttackModel(entry["kind"], float(entry.get("mu_out", 0.0)))
+            AttackModel(entry["kind"],
+                        _json_number("mu_out", entry.get("mu_out", 0.0)))
             for entry in data["attacks"])
-        sweep_data = data["sweep"]
-        sweep = (float(sweep_data["l_min_km"]), float(sweep_data["l_max_km"]),
-                 float(sweep_data["step_km"]))
-        return channel, source, attack_list, sweep, str(data["output_path"])
-    except (KeyError, TypeError) as exc:
+        sweep = tuple(_json_number(key, data["sweep"][key])
+                      for key in ("l_min_km", "l_max_km", "step_km"))
+        output_path = data["output_path"]
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad config: {exc}") from None
+    if not isinstance(output_path, str):
+        raise ValueError(f"output_path must be a string, got {output_path!r}")
+    return channel, source, attack_list, sweep, output_path
 
 
 def _preset_config(name: str) -> tuple:
@@ -120,8 +135,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--attack", action="append", type=_parse_attack_spec,
                         metavar="KIND[:MU]", dest="attack_list",
                         help="attack entry, e.g. general:1e-6; repeatable")
-    parser.add_argument("--output", metavar="PATH",
-                        help="output path override")
     parser.add_argument("--alpha-db-per-km", type=float, metavar="DB")
     parser.add_argument("--eta-det", type=float, metavar="P")
     parser.add_argument("--e-opt", type=float, metavar="P")
@@ -133,7 +146,7 @@ def _resolve_config(args: argparse.Namespace) -> tuple:
     """(channel, source, attacks, sweep, output_path) of a sweep or threshold.
 
     Starts from the preset, the --config file or the defaults, then applies
-    every channel, source, attack and output flag that was given.
+    every channel, source and attack flag that was given.
     """
     if args.preset:
         channel, source, attack_list, sweep, output_path = _preset_config(args.preset)
@@ -163,7 +176,7 @@ def _resolve_config(args: argparse.Namespace) -> tuple:
 
     if args.attack_list:
         attack_list = tuple(args.attack_list)
-    return channel, source, attack_list, sweep, args.output or output_path
+    return channel, source, attack_list, sweep, output_path
 
 
 def _fmt(value: float) -> str:
@@ -211,6 +224,7 @@ def _gnuplot_script(csv_path: str, blocks: list[AttackModel],
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     channel, source, attack_list, sweep, output_path = _resolve_config(args)
+    output_path = args.output or output_path
     sweep = tuple(value if flag is None else flag
                   for value, flag in zip(sweep, (args.l_min, args.l_max, args.step)))
     blocks = _sorted_attacks(attack_list)
@@ -268,11 +282,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             "max_distance_at": distances,
         })
 
-    text = json.dumps({"reports": reports}, indent=2) + "\n"
-    sys.stdout.write(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+    sys.stdout.write(json.dumps({"reports": reports}, indent=2) + "\n")
     return 0
 
 
@@ -292,13 +302,10 @@ def _catalog_from_config(path: str | None) -> budget_mod.ComponentCatalog:
                 "filter_db_values"):
         if key in entry:
             values = entry[key]
-            try:
-                if not isinstance(values, list):
-                    raise TypeError
-                kwargs[key] = tuple(float(v) for v in values)
-            except (TypeError, ValueError):
+            if not isinstance(values, list):
                 raise ValueError(f"catalog {key} must be a list of numbers, "
-                                 f"got {values!r}") from None
+                                 f"got {values!r}")
+            kwargs[key] = tuple(_json_number(key, v) for v in values)
     return budget_mod.ComponentCatalog(**kwargs)
 
 
@@ -449,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rate vs distance CSV + plot script")
     _add_config_flags(p_sweep)
+    p_sweep.add_argument("--output", metavar="PATH",
+                         help="output path override")
     p_sweep.add_argument("--l-min", type=float, metavar="KM")
     p_sweep.add_argument("--l-max", type=float, metavar="KM")
     p_sweep.add_argument("--step", type=float, metavar="KM")

@@ -23,13 +23,10 @@ from thabound.attacks import (
     AttackModel,
     coin_imbalance,
     effective_imbalance,
-    general_tha,
     no_attack,
-    passive_tha,
     phase_error_general,
     phase_error_passive,
     usd_conclusive_fraction,
-    usd_tha,
 )
 from thabound.budget import (
     IsolationBudget,
@@ -108,23 +105,23 @@ def test_criterion_1a_clean_single_photon_reach():
 
 
 def test_criterion_1b_reach_with_strong_leakage():
-    reach = max_distance(CHANNEL, SP, general_tha(1e-2))
+    reach = max_distance(CHANNEL, SP, AttackModel("general", 1e-2))
     ok = abs(reach - 9.0) <= 2.0
     report("1b", ok, f"reach at mu_out=1e-2 is {reach:.2f} km vs 9 +/- 2")
 
 
 def test_criterion_1c_weak_leakage_tracks_clean_curve_to_100km():
     lengths = range(0, 101)
-    first_out, worst, worst_at = curve_band(CHANNEL, SP, general_tha(1e-6),
-                                            lengths)
+    first_out, worst, worst_at = curve_band(CHANNEL, SP,
+                                            AttackModel("general", 1e-6), lengths)
     report("1c", first_out is None,
            band_detail(1e-6, lengths, first_out, worst, worst_at))
 
 
 def test_criterion_1d_negligible_leakage_tracks_full_range():
     lengths = range(0, 201)
-    first_out, worst, worst_at = curve_band(CHANNEL, SP, general_tha(1e-8),
-                                            lengths)
+    first_out, worst, worst_at = curve_band(CHANNEL, SP,
+                                            AttackModel("general", 1e-8), lengths)
     report("1d", first_out is None,
            band_detail(1e-8, lengths, first_out, worst, worst_at))
 
@@ -134,7 +131,7 @@ def test_curve_band_rejects_larger_leakage():
     lengths = range(0, 201)
     for mu_out in (2e-8, 5e-8, 1e-6):
         first_out, worst, worst_at = curve_band(CHANNEL, SP,
-                                                general_tha(mu_out), lengths)
+                                                AttackModel("general", mu_out), lengths)
         assert first_out is not None, band_detail(mu_out, lengths, first_out,
                                                   worst, worst_at)
 
@@ -160,7 +157,7 @@ def test_criterion_2_leakage_thresholds():
 def test_criterion_3_decoy_reach_and_weak_leakage_floor():
     reach = max_distance(CHANNEL, DECOY, no_attack())
     reach_ok = abs(reach - 146.0) <= 10.0
-    rate_135 = rate_at(CHANNEL, DECOY, general_tha(1e-6), 135.0)
+    rate_135 = rate_at(CHANNEL, DECOY, AttackModel("general", 1e-6), 135.0)
     floor_ok = rate_135 > 0.0
     report("3", reach_ok and floor_ok,
            f"decoy clean reach {reach:.1f} km vs 146 +/- 10; rate at "
@@ -278,9 +275,9 @@ def test_criterion_9_attack_severity_ordering():
         for mu in mus:
             for length in lengths:
                 clean = rate_at(CHANNEL, source, no_attack(), length)
-                passive = rate_at(CHANNEL, source, passive_tha(mu), length)
-                usd = rate_at(CHANNEL, source, usd_tha(mu), length)
-                general = rate_at(CHANNEL, source, general_tha(mu), length)
+                passive = rate_at(CHANNEL, source, AttackModel("passive", mu), length)
+                usd = rate_at(CHANNEL, source, AttackModel("usd", mu), length)
+                general = rate_at(CHANNEL, source, AttackModel("general", mu), length)
                 if not (clean >= passive - GRID_EPS
                         and passive >= usd - GRID_EPS
                         and usd >= general - GRID_EPS):
@@ -300,7 +297,7 @@ def test_criterion_10_zero_leakage_limits():
     bitwise = True
     for length in (0.0, 25.5, 50.0, 100.0, 150.25, 170.0):
         for source in (SP, DECOY):
-            zero = rate_at(CHANNEL, source, general_tha(0.0), length)
+            zero = rate_at(CHANNEL, source, AttackModel("general", 0.0), length)
             clean = rate_at(CHANNEL, source, no_attack(), length)
             bitwise = bitwise and math.copysign(1.0, zero) == math.copysign(
                 1.0, clean) and zero == clean

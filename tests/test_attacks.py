@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,13 +8,10 @@ from thabound.attacks import (
     AttackModel,
     coin_imbalance,
     effective_imbalance,
-    general_tha,
     no_attack,
-    passive_tha,
     phase_error_general,
     phase_error_passive,
     usd_conclusive_fraction,
-    usd_tha,
 )
 
 
@@ -30,17 +28,12 @@ class TestAttackModel:
 
     def test_negative_leakage_rejected(self):
         with pytest.raises(ValueError):
-            general_tha(-1e-9)
+            AttackModel("general", -1e-9)
 
     def test_no_attack_pins_leakage_to_zero(self):
         with pytest.raises(ValueError):
             AttackModel("none", 0.1)
         assert no_attack().mu_out == 0.0
-
-    def test_factories(self):
-        assert general_tha(0.5).kind == "general"
-        assert passive_tha(0.5).kind == "passive"
-        assert usd_tha(0.5).kind == "usd"
 
 
 def joint_state_imbalance(mu, n_max=60):
@@ -151,6 +144,25 @@ class TestPhaseErrorGeneral:
         assert inflated is not None
         assert e - 1e-12 <= inflated <= 0.5
 
+    def test_matches_angle_form(self):
+        """Oracle: the Bloch-sphere angle form of the same bound.
+
+        e' = sin^2(arcsin sqrt(e) + 2 arcsin sqrt(d)), or 1/2 once the
+        angle reaches pi/4.  Both forms take a few correctly rounded
+        operations, so 16 ulps of the larger value bound their gap.
+        """
+        rng = random.Random(7)
+        points = [(rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5))
+                  for _ in range(10_000)]
+        points += [(math.exp(rng.uniform(math.log(1e-6), math.log(0.5))),
+                    math.exp(rng.uniform(math.log(1e-12), math.log(0.5))))
+                   for _ in range(10_000)]
+        for e, d in points:
+            angle = math.asin(math.sqrt(e)) + 2.0 * math.asin(math.sqrt(d))
+            expected = 0.5 if angle >= math.pi / 4 else math.sin(angle) ** 2
+            got = phase_error_general(e, d)
+            assert abs(got - expected) <= 16 * math.ulp(max(got, expected)), (e, d)
+
     def test_monotone_in_imbalance_for_small_error(self):
         e = 0.01
         grid = [i * 0.001 for i in range(200)]
@@ -200,6 +212,21 @@ class TestUsdConclusiveFraction:
     def test_no_detections_raises(self):
         with pytest.raises(ValueError):
             usd_conclusive_fraction(0.01, 0.0)
+
+    def test_matches_coherent_state_overlap(self):
+        """Oracle: 1 - |<sqrt(mu)|-sqrt(mu)>|, the Ivanovic-Dieks-Peres bound.
+
+        The overlap is summed in the Fock basis, exp(-mu) sum (-mu)^n / n!
+        over 80 terms.  Its terms are at most 1 and it is subtracted from
+        1, so 16 ulps of 1 bound the absolute gap.
+        """
+        rng = random.Random(11)
+        for _ in range(2_000):
+            mu = rng.uniform(1e-6, 1.0)
+            overlap = math.exp(-mu) * math.fsum(
+                (-mu) ** n / math.factorial(n) for n in range(80))
+            assert abs(usd_conclusive_fraction(mu, 1.0) - (1.0 - overlap)) <= (
+                16 * math.ulp(1.0)), mu
 
     @given(st.floats(min_value=0.0, max_value=5.0),
            st.floats(min_value=1e-6, max_value=1.0))

@@ -228,6 +228,20 @@ class TestPlanBudget:
         best = budgets[0]
         assert best.isolator_count == 1 and best.filter_db == -20.0
 
+    @pytest.mark.parametrize("allow", [True, False])
+    @pytest.mark.parametrize("gamma", [0.0, -120.0, -170.0, -230.0])
+    def test_catalog_order_and_repeats_change_nothing(self, gamma, allow):
+        plain = ComponentCatalog(isolator_db_values=(-50.0, -60.0),
+                                 reflectivity_db_values=(-40.0, -50.0),
+                                 filter_db_values=(0.0, -10.0))
+        shuffled = ComponentCatalog(
+            isolator_db_values=(-60.0, -50.0, -60.0),
+            reflectivity_db_values=(-50.0, -40.0, -50.0, -40.0),
+            filter_db_values=(-10.0, 0.0, -10.0, 0.0))
+        budgets = plan_budget(gamma, plain, allow_attenuator=allow)
+        assert budgets
+        assert plan_budget(gamma, shuffled, allow_attenuator=allow) == budgets
+
     def test_positive_attenuator_limit_rejected(self):
         with pytest.raises(ValueError):
             plan_budget(-100.0, max_attenuator_db=5.0)

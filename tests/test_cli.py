@@ -4,7 +4,7 @@ import math
 import pytest
 
 from thabound import cli, keyrate
-from thabound.attacks import AttackModel, general_tha, no_attack
+from thabound.attacks import AttackModel, no_attack
 from thabound.channel import ChannelParams, decoy_state, single_photon
 from thabound.cli import SWEEP_CSV_HEADER, config_from_json, main
 from thabound.keyrate import rates_at
@@ -35,7 +35,8 @@ class TestConfigRoundTrip:
     def test_single_photon(self, tmp_path):
         config = config_from_json(json.dumps(config_dict(tmp_path)))
         assert config == (CHANNEL, single_photon(),
-                          (no_attack(), general_tha(1e-6)), (0.0, 10.0, 1.0),
+                          (no_attack(), AttackModel("general", 1e-6)),
+                          (0.0, 10.0, 1.0),
                           str(tmp_path / "out.csv"))
 
     def test_decoy(self, tmp_path):
@@ -49,6 +50,77 @@ class TestConfigRoundTrip:
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError):
             config_from_json("{}")
+
+
+CONFIG_NUMBERS = (*ChannelParams._fields, "s", "mu_out",
+                  "l_min_km", "l_max_km", "step_km")
+CATALOG_KEYS = ("isolator_db_values", "reflectivity_db_values",
+                "filter_db_values")
+
+
+def config_with_number(tmp_path, field, value):
+    """config_dict with the number `field` of CONFIG_NUMBERS set to value."""
+    config = config_dict(tmp_path)
+    if field in config["channel"]:
+        config["channel"][field] = value
+    elif field in config["sweep"]:
+        config["sweep"][field] = value
+    elif field == "s":
+        config["source"] = {"kind": "decoy", "s": value}
+    else:
+        config["attacks"] = [{"kind": "general", "mu_out": value}]
+    return config
+
+
+class TestConfigValueTypes:
+    """Config numbers are JSON numbers and the output path a JSON string."""
+
+    @pytest.mark.parametrize("value", [True, False, "0.5"])
+    @pytest.mark.parametrize("field", [*CONFIG_NUMBERS, *CATALOG_KEYS])
+    def test_non_number_exits_one_without_output(self, tmp_path, monkeypatch,
+                                                 capsys, field, value):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.json"
+        if field in CATALOG_KEYS:
+            path.write_text(json.dumps({"catalog": {field: [value]}}))
+            argv = [*BUDGET, "--config", str(path)]
+        else:
+            path.write_text(json.dumps(config_with_number(tmp_path, field, value)))
+            argv = ["sweep", "--config", str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {field} must be a JSON number, "
+                                f"got {value!r}\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(
+            config_with_number(tmp_path, "l_max_km", 10**400)))
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert "l_max_km must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_integers_read_as_floats(self, tmp_path):
+        text = json.dumps(config_dict(
+            tmp_path, sweep={"l_min_km": 0, "l_max_km": 10, "step_km": 1}))
+        sweep = config_from_json(text)[3]
+        assert sweep == (0.0, 10.0, 1.0)
+        assert all(type(bound) is float for bound in sweep)
+
+    @pytest.mark.parametrize("value", [None, 3, ["out.csv"]])
+    def test_output_path_must_be_a_string(self, tmp_path, monkeypatch, capsys,
+                                          value):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config_dict(tmp_path, output_path=value)))
+        assert main(["sweep", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: output_path must be a string, "
+                                f"got {value!r}\n")
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestSweepCommand:
@@ -159,7 +231,8 @@ class TestSweepCommand:
         assert all(r.source == "decoy:0.5" for r in rows)
 
     def test_rate_at_floor_written_as_repr(self, tmp_path, monkeypatch):
-        rate = rates_at(CHANNEL, single_photon(), (general_tha(1e-4),), 10.0)[0]
+        rate = rates_at(CHANNEL, single_photon(), (AttackModel("general", 1e-4),),
+                        10.0)[0]
         argv = ["sweep", "--attack", "general:1e-4", "--l-max", "10",
                 "--step", "10", "--output", str(tmp_path / "out.csv")]
         for floor, cell in ((rate, repr(rate)),
@@ -197,13 +270,6 @@ class TestThresholdCommand:
         report = payload["reports"][0]
         assert report["attack_kind"] == "none"
         assert report["mu_out_threshold"] is None
-
-    def test_written_report_matches_stdout(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        code = main(["threshold", "--attack", "passive:0.1",
-                     "--output", str(out)])
-        assert code == 0
-        assert out.read_text() == capsys.readouterr().out
 
     def test_insecure_channel_exits_two(self, capsys):
         code = main(["threshold", "--attack", "general:1e-6",
@@ -545,7 +611,7 @@ class TestOneOwnerPerRule:
             ["threshold", "--preset", "fig3", "--e-opt", "0.02"])
         assert cli._resolve_config(args)[0] == cli.PRESET_CHANNEL._replace(e_opt=0.02)
 
-    @pytest.mark.parametrize("flag", ["--l-min", "--l-max", "--step"])
+    @pytest.mark.parametrize("flag", ["--l-min", "--l-max", "--step", "--output"])
     def test_threshold_takes_no_grid_flags(self, capsys, flag):
         assert main(["threshold", "--attack", "general:0", flag, "5"]) == 1
         assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err

@@ -1,17 +1,18 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thabound.attacks import (
-    AttackModel,
-    general_tha,
-    no_attack,
-    passive_tha,
-    usd_tha,
-)
+from thabound.attacks import AttackModel, coin_imbalance, no_attack
 from thabound import keyrate
-from thabound.channel import ChannelParams, decoy_state, single_photon
+from thabound.channel import (
+    ChannelParams,
+    decoy_link,
+    decoy_state,
+    single_photon,
+    single_photon_link,
+)
 from thabound.keyrate import (
     MAX_GRID_POINTS,
     MAX_HALVINGS,
@@ -29,6 +30,7 @@ from thabound.keyrate import (
     sweep_lengths,
     verify_convexity,
 )
+from thabound.numerics import binary_entropy
 
 CHANNEL = ChannelParams(0.2, 0.125, 0.01, 1e-5, 1.2)
 SP = single_photon()
@@ -44,15 +46,15 @@ class TestKeyRateFrozenValues:
     CASES = [
         (SP, no_attack(), 0.0, 0.1027265745),
         (SP, no_attack(), 100.0, 0.000967374264478),
-        (SP, general_tha(1e-6), 100.0, 0.000889596557218),
-        (SP, general_tha(0.01), 0.0, 0.0150749912626),
-        (SP, passive_tha(0.01), 0.0, 0.0953589619668),
-        (SP, usd_tha(0.01), 0.0, 0.0761781655544),
+        (SP, AttackModel("general", 1e-6), 100.0, 0.000889596557218),
+        (SP, AttackModel("general", 0.01), 0.0, 0.0150749912626),
+        (SP, AttackModel("passive", 0.01), 0.0, 0.0953589619668),
+        (SP, AttackModel("usd", 0.01), 0.0, 0.0761781655544),
         (DECOY, no_attack(), 0.0, 0.0289277596511),
         (DECOY, no_attack(), 100.0, 0.000243959855434),
-        (DECOY, general_tha(1e-6), 100.0, 0.000220372573387),
-        (DECOY, passive_tha(0.01), 0.0, 0.0266934182059),
-        (DECOY, usd_tha(0.01), 0.0, 0.0208765476551),
+        (DECOY, AttackModel("general", 1e-6), 100.0, 0.000220372573387),
+        (DECOY, AttackModel("passive", 0.01), 0.0, 0.0266934182059),
+        (DECOY, AttackModel("usd", 0.01), 0.0, 0.0208765476551),
     ]
 
     @pytest.mark.parametrize("source,attack,length,expected", CASES)
@@ -61,10 +63,10 @@ class TestKeyRateFrozenValues:
             expected, rel=1e-11)
 
     def test_rate_zero_above_threshold(self):
-        assert rate_at(CHANNEL, SP, general_tha(0.1), 0.0) == 0.0
+        assert rate_at(CHANNEL, SP, AttackModel("general", 0.1), 0.0) == 0.0
 
     def test_rate_never_negative(self):
-        assert rate_at(CHANNEL, SP, general_tha(0.0152), 9.0) >= 0.0
+        assert rate_at(CHANNEL, SP, AttackModel("general", 0.0152), 9.0) >= 0.0
 
 
 class TestNoAttackIdentity:
@@ -72,13 +74,14 @@ class TestNoAttackIdentity:
         for source in (SP, DECOY):
             for length in (0.0, 25.5, 50.0, 100.0, 150.25, 170.0):
                 baseline = rate_at(CHANNEL, source, no_attack(), length)
-                attacked = rate_at(CHANNEL, source, general_tha(0.0), length)
+                attacked = rate_at(CHANNEL, source, AttackModel("general", 0.0), length)
                 assert attacked == baseline
 
 
 class TestRatesAt:
-    ATTACKS = (no_attack(), general_tha(1e-6), general_tha(0.3),
-               passive_tha(0.1), usd_tha(1e-2), usd_tha(0.5), general_tha(1e-6))
+    ATTACKS = (no_attack(), AttackModel("general", 1e-6), AttackModel("general", 0.3),
+               AttackModel("passive", 0.1), AttackModel("usd", 1e-2),
+               AttackModel("usd", 0.5), AttackModel("general", 1e-6))
 
     @pytest.mark.parametrize("source", [SP, DECOY], ids=["sp", "decoy"])
     @pytest.mark.parametrize("length", [0.0, 37.5, 150.0, 400.0])
@@ -160,7 +163,8 @@ class TestSweepDistance:
         assert len(series.points) == 201
 
     def test_floor_applied_beyond_cutoff(self):
-        series = sweep_distance(CHANNEL, SP, general_tha(0.01), 0.0, 20.0, 1.0)
+        series = sweep_distance(CHANNEL, SP, AttackModel("general", 0.01),
+                                0.0, 20.0, 1.0)
         beyond = [p for p in series.points if p.length_km >= 10.0]
         assert beyond and all(p.rate == 0.0 and not p.secure for p in beyond)
         near = [p for p in series.points if p.length_km <= 9.0]
@@ -173,7 +177,7 @@ class TestSweepDistance:
             sweep_distance(CHANNEL, SP, no_attack(), 0.0, 10.0, 0.0)
 
     def test_rate_at_floor_is_kept(self, monkeypatch):
-        attack = general_tha(1e-4)
+        attack = AttackModel("general", 1e-4)
         rate = rate_at(CHANNEL, SP, attack, 10.0)
         for floor, point in ((rate, RatePoint(10.0, rate, True)),
                              (math.nextafter(rate, math.inf),
@@ -212,8 +216,8 @@ class TestThresholdSearch:
 
     def test_rate_positive_below_and_zero_above(self):
         thr = mu_out_threshold(CHANNEL, SP, "general")
-        assert rate_at(CHANNEL, SP, general_tha(0.9 * thr), 0.0) > 0.0
-        assert rate_at(CHANNEL, SP, general_tha(1.1 * thr), 0.0) == 0.0
+        assert rate_at(CHANNEL, SP, AttackModel("general", 0.9 * thr), 0.0) > 0.0
+        assert rate_at(CHANNEL, SP, AttackModel("general", 1.1 * thr), 0.0) == 0.0
 
     def test_no_attack_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -224,20 +228,124 @@ class TestThresholdSearch:
             mu_out_threshold(DEAD_CHANNEL, SP, "general")
 
 
+def _last_below(f, lo, hi, target):
+    """Largest x in [lo, hi] with f(x) < target, for f increasing there.
+
+    Bisects until the midpoint equals an endpoint, so the result is as
+    fine as floats allow and no tolerance is chosen.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def exact_threshold(channel, source, kind):
+    """The zero-distance leakage threshold of a general or passive attack.
+
+    An oracle for mu_out_threshold that inverts the bound instead of
+    searching the rate.  At zero distance the rate
+    q1 (1 - h(e')) - q_x f_ec h(e_x) is positive iff h(e') is below
+    1 - f_ec h(e_x) q_x / q1, so the largest phase error e* follows from
+    h^-1.  The passive attack's e' = [1 - (1 - 2 e1) exp(-2 mu)] / 2 then
+    inverts in closed form.  The general attack's e' is the angle form
+    sin^2(arcsin sqrt(e1) + 2 arcsin sqrt(Delta')), with Delta' = Delta / Y1,
+    so Delta* = Y1 sin^2((arcsin sqrt(e*) - arcsin sqrt(e1)) / 2) and
+    mu* = coin_imbalance^-1(Delta*) (increasing on [0, 2]).  Returns None
+    when there is no key even without leakage.
+    """
+    if source.kind == "single_photon":
+        obs = single_photon_link(channel, 0.0)
+    else:
+        obs = decoy_link(channel, 0.0, source.s)
+    if obs.q1 == 0.0:
+        return None
+    bound = 1.0 - channel.f_ec * binary_entropy(obs.e_x) * obs.q_x / obs.q1
+    e_star = _last_below(binary_entropy, 0.0, 0.5, bound)
+    if e_star <= obs.e1:
+        return None
+    if kind == "passive":
+        return 0.5 * math.log((1.0 - 2.0 * obs.e1) / (1.0 - 2.0 * e_star))
+    half_angle = 0.5 * (math.asin(math.sqrt(e_star)) - math.asin(math.sqrt(obs.e1)))
+    return _last_below(coin_imbalance, 0.0, 2.0,
+                       obs.y1 * math.sin(half_angle) ** 2)
+
+
+def _seeded_cases(seed, count):
+    """(channel, source) pairs over the ranges of the planning benchmark."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    cases = []
+    for _ in range(count):
+        channel = ChannelParams(rng.uniform(0.16, 0.25), log_uniform(0.05, 0.6),
+                                rng.uniform(0.005, 0.03), log_uniform(1e-7, 1e-5),
+                                rng.uniform(1.05, 1.25))
+        cases += [(channel, SP), (channel, decoy_state(rng.uniform(0.2, 0.8)))]
+    return cases
+
+
+class TestExactThreshold:
+    """mu_out_threshold brackets the exactly inverted threshold."""
+
+    CASES = [(CHANNEL, SP), (CHANNEL, DECOY), (DEAD_CHANNEL, SP),
+             (DEAD_CHANNEL, DECOY), *_seeded_cases(15, 16)]
+
+    @pytest.mark.parametrize("source,kind,expected", [
+        row for row in TestThresholdSearch.FROZEN if row[1] != "usd"])
+    def test_oracle_matches_frozen_thresholds(self, source, kind, expected):
+        assert exact_threshold(CHANNEL, source, kind) == pytest.approx(
+            expected, rel=1e-11)
+
+    @pytest.mark.parametrize("kind", ["general", "passive"])
+    @pytest.mark.parametrize("channel,source", CASES)
+    def test_search_brackets_exact_threshold(self, monkeypatch, channel,
+                                             source, kind):
+        evaluated = []
+
+        def recording_rate_at(*args):
+            rate = rate_at(*args)
+            evaluated.append((args[2].mu_out, rate))
+            return rate
+
+        monkeypatch.setattr(keyrate, "rate_at", recording_rate_at)
+        exact = exact_threshold(channel, source, kind)
+        try:
+            mu_out_threshold(channel, source, kind)
+        except NoPositiveRateError:
+            assert exact is None
+            return
+        assert exact is not None
+        below = max(mu for mu, rate in evaluated if rate > 0.0)
+        above = min((mu for mu, rate in evaluated if rate <= 0.0),
+                    default=math.inf)
+        assert below < exact < above
+        just_below = AttackModel(kind, exact * (1 - 1e-9))
+        just_above = AttackModel(kind, exact * (1 + 1e-9))
+        assert rate_at(channel, source, just_below, 0.0) > 0.0
+        assert rate_at(channel, source, just_above, 0.0) == 0.0
+
+
 class TestMaxDistance:
     FROZEN = [
         (SP, no_attack(), 171.09691957),
-        (SP, general_tha(1e-2), 9.16290702298),
-        (SP, general_tha(1e-4), 104.504733812),
-        (SP, general_tha(1e-6), 158.066016156),
-        (SP, general_tha(1e-8), 169.590129983),
+        (SP, AttackModel("general", 1e-2), 9.16290702298),
+        (SP, AttackModel("general", 1e-4), 104.504733812),
+        (SP, AttackModel("general", 1e-6), 158.066016156),
+        (SP, AttackModel("general", 1e-8), 169.590129983),
         (DECOY, no_attack(), 146.201699506),
-        (DECOY, general_tha(1e-6), 138.862806838),
-        (DECOY, general_tha(1e-2), 4.48153493926),
-        (SP, passive_tha(0.1), 159.232696053),
-        (DECOY, passive_tha(0.1), 130.592463072),
-        (SP, usd_tha(0.01), 35.4305082001),
-        (DECOY, usd_tha(0.01), 33.3207878284),
+        (DECOY, AttackModel("general", 1e-6), 138.862806838),
+        (DECOY, AttackModel("general", 1e-2), 4.48153493926),
+        (SP, AttackModel("passive", 0.1), 159.232696053),
+        (DECOY, AttackModel("passive", 0.1), 130.592463072),
+        (SP, AttackModel("usd", 0.01), 35.4305082001),
+        (DECOY, AttackModel("usd", 0.01), 33.3207878284),
     ]
 
     @pytest.mark.parametrize("source,attack,expected", FROZEN)
@@ -247,7 +355,7 @@ class TestMaxDistance:
 
     def test_leakage_above_threshold_raises(self):
         with pytest.raises(NoPositiveRateError):
-            max_distance(CHANNEL, SP, general_tha(0.1))
+            max_distance(CHANNEL, SP, AttackModel("general", 0.1))
 
     def test_rate_positive_just_inside(self):
         reach = max_distance(CHANNEL, SP, no_attack())
@@ -263,7 +371,7 @@ class TestVerifyConvexity:
         # midpoint 1e-2 yields zero at 50 km while the average of the
         # endpoint rates is positive, so convexity holds with margin
         assert verify_convexity(CHANNEL, SP, "general", 50.0, 0.0, 2e-2)
-        assert rate_at(CHANNEL, SP, general_tha(1e-2), 50.0) == 0.0
+        assert rate_at(CHANNEL, SP, AttackModel("general", 1e-2), 50.0) == 0.0
 
     def test_no_attack_kind_only_at_zero(self):
         assert verify_convexity(CHANNEL, SP, "none", 0.0, 0.0, 0.0)
