@@ -19,6 +19,8 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 
 MAX_ISOLATORS = 5
 ATTENUATOR_STEP_DB = 5.0
+# Deepest attenuator plan_budget considers by default, and the CLI's too.
+MAX_ATTENUATOR_DB = -35.0
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -212,7 +214,7 @@ class ComponentCatalog(namedtuple("ComponentCatalog",
 
 def plan_budget(gamma_target_db: float,
                 catalog: ComponentCatalog | None = None,
-                max_attenuator_db: float = -35.0,
+                max_attenuator_db: float = MAX_ATTENUATOR_DB,
                 allow_attenuator: bool = True) -> list[IsolationBudget]:
     """Enumerate component combinations meeting an isolation target.
 

@@ -51,14 +51,13 @@ SWEEP_CSV_HEADER = "length_km,mu_out,attack,source,rate"
 PRESET_CHANNEL = ChannelParams(alpha_db_per_km=0.2, eta_det=0.125,
                                e_opt=0.01, p_dark=1e-5, f_ec=1.2)
 
-PRESET_SWEEP = (0.0, 200.0, 1.0)
-
 _GENERAL_MU = (1e-8, 1e-6, 1e-4, 1e-2)
 _PASSIVE_MU = (1e-2, 1e-1, 3e-1)
 _USD_MU = (1e-3, 1e-2, 3e-2)
 
 # Figure presets, by name: source kind, decoy intensity s, attack kind and
-# the mu_out of each attack block, all on PRESET_CHANNEL and PRESET_SWEEP.
+# the mu_out of each attack block, all on PRESET_CHANNEL and the default
+# sweep grid.
 PRESETS = {
     "fig3": (SINGLE_PHOTON, None, attacks_mod.GENERAL, _GENERAL_MU),
     "fig4": (DECOY, 0.5, attacks_mod.GENERAL, _GENERAL_MU),
@@ -74,7 +73,7 @@ class UsageError(Exception):
 
 
 def _json_number(name: str, value) -> float:
-    """A number read from a JSON config: an int or a float, never a bool."""
+    """A number read from a budget catalog: an int or a float, never a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a JSON number, got {value!r}")
     try:
@@ -82,35 +81,6 @@ def _json_number(name: str, value) -> float:
     except OverflowError:
         raise ValueError(f"{name} must be finite, got an integer too large "
                          "for a float") from None
-
-
-def config_from_json(text: str) -> tuple:
-    """(channel, source, attacks, sweep, output_path) from a JSON config."""
-    data = json.loads(text)
-    try:
-        channel = ChannelParams(**{name: _json_number(name, value)
-                                   for name, value in data["channel"].items()})
-        kind, s = data["source"]["kind"], data["source"].get("s")
-        source = SourceModel(kind, None if s is None else _json_number("s", s))
-        attack_list = tuple(
-            AttackModel(entry["kind"],
-                        _json_number("mu_out", entry.get("mu_out", 0.0)))
-            for entry in data["attacks"])
-        sweep = tuple(_json_number(key, data["sweep"][key])
-                      for key in ("l_min_km", "l_max_km", "step_km"))
-        output_path = data["output_path"]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"bad config: {exc}") from None
-    if not isinstance(output_path, str):
-        raise ValueError(f"output_path must be a string, got {output_path!r}")
-    return channel, source, attack_list, sweep, output_path
-
-
-def _preset_config(name: str) -> tuple:
-    source_kind, s, kind, mu_values = PRESETS[name]
-    attack_list = (no_attack(),) + tuple(AttackModel(kind, mu) for mu in mu_values)
-    return (PRESET_CHANNEL, SourceModel(source_kind, s), attack_list, PRESET_SWEEP,
-            f"{name}.csv")
 
 
 def _parse_attack_spec(spec: str) -> AttackModel:
@@ -123,11 +93,8 @@ def _parse_attack_spec(spec: str) -> AttackModel:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--preset", choices=PRESETS,
-                       help="bundled figure configuration")
-    group.add_argument("--config", metavar="PATH",
-                       help="JSON config file")
+    parser.add_argument("--preset", choices=PRESETS,
+                        help="bundled figure configuration")
     parser.add_argument("--source", choices=(SINGLE_PHOTON, DECOY),
                         help="source model override")
     parser.add_argument("--decoy-s", type=float, metavar="S",
@@ -143,20 +110,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple:
-    """(channel, source, attacks, sweep, output_path) of a sweep or threshold.
+    """(channel, source, attacks) of a sweep or threshold.
 
-    Starts from the preset, the --config file or the defaults, then applies
-    every channel, source and attack flag that was given.
+    Starts from the preset or the defaults, then applies every channel,
+    source and attack flag that was given.
     """
+    channel, source, attack_list = PRESET_CHANNEL, single_photon(), ()
     if args.preset:
-        channel, source, attack_list, sweep, output_path = _preset_config(args.preset)
-    elif args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            channel, source, attack_list, sweep, output_path = config_from_json(
-                handle.read())
-    else:
-        channel, source, attack_list, sweep, output_path = (
-            PRESET_CHANNEL, single_photon(), (), PRESET_SWEEP, "sweep.csv")
+        source_kind, s, attack_kind, mu_values = PRESETS[args.preset]
+        source = SourceModel(source_kind, s)
+        attack_list = (no_attack(),) + tuple(AttackModel(attack_kind, mu)
+                                            for mu in mu_values)
 
     overrides = {field: getattr(args, field) for field in channel._fields
                  if getattr(args, field) is not None}
@@ -176,7 +140,7 @@ def _resolve_config(args: argparse.Namespace) -> tuple:
 
     if args.attack_list:
         attack_list = tuple(args.attack_list)
-    return channel, source, attack_list, sweep, output_path
+    return channel, source, attack_list
 
 
 def _fmt(value: float) -> str:
@@ -223,15 +187,13 @@ def _gnuplot_script(csv_path: str, blocks: list[AttackModel],
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    channel, source, attack_list, sweep, output_path = _resolve_config(args)
-    output_path = args.output or output_path
-    sweep = tuple(value if flag is None else flag
-                  for value, flag in zip(sweep, (args.l_min, args.l_max, args.step)))
+    channel, source, attack_list = _resolve_config(args)
+    output_path = args.output or f"{args.preset or 'sweep'}.csv"
     blocks = _sorted_attacks(attack_list)
 
     # Rates are evaluated length by length, all blocks at once, and written
     # block by block; rates below RATE_FLOOR are written as 0.
-    lengths = sweep_lengths(*sweep)
+    lengths = sweep_lengths(args.l_min, args.l_max, args.step)
     rates_by_length = [rates_at(channel, source, blocks, length)
                        for length in lengths]
     length_cells = [_fmt(length) for length in lengths]
@@ -256,7 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    channel, source, attack_list, _, _ = _resolve_config(args)
+    channel, source, attack_list = _resolve_config(args)
     entries = _sorted_attacks(attack_list)
     kinds = sorted({a.kind for a in entries})
 
@@ -368,11 +330,13 @@ def cmd_reflectivity(args: argparse.Namespace) -> int:
 
 def _lidt_base_spec(args: argparse.Namespace) -> budget_mod.LidtSpec:
     if args.preset is not None:
+        if args.wavelength_m is not None:
+            raise UsageError("--lambda only applies to --power")
         if args.preset == "conservative":
             return budget_mod.conservative_preset(args.bend_edge_compensation)
         return budget_mod.fiber_fuse_preset(args.bend_edge_compensation)
-    if args.power is None:
-        raise UsageError("lidt needs --preset or --power")
+    if args.bend_edge_compensation:
+        raise UsageError("--bend-edge-compensation only applies to a --preset")
     if args.wavelength_m is None:
         raise UsageError("--power needs --lambda (wavelength in meters)")
     flux = budget_mod.photon_flux_from_power(args.power, args.wavelength_m)
@@ -458,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--output", metavar="PATH",
                          help="output path override")
-    p_sweep.add_argument("--l-min", type=float, metavar="KM")
-    p_sweep.add_argument("--l-max", type=float, metavar="KM")
-    p_sweep.add_argument("--step", type=float, metavar="KM")
+    p_sweep.add_argument("--l-min", type=float, default=0.0, metavar="KM")
+    p_sweep.add_argument("--l-max", type=float, default=200.0, metavar="KM")
+    p_sweep.add_argument("--step", type=float, default=1.0, metavar="KM")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_thresh = sub.add_parser("threshold",
@@ -479,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="JSON file with a component catalog")
     p_budget.add_argument("--no-attenuator", action="store_true",
                           help="exclude attenuators (single-photon sources)")
-    p_budget.add_argument("--max-attenuator-db", type=float, default=35.0,
+    p_budget.add_argument("--max-attenuator-db", type=float,
+                          default=-budget_mod.MAX_ATTENUATOR_DB,
                           help="deepest attenuator to consider (dB magnitude)")
     p_budget.add_argument("--output", metavar="PATH",
                           help="also write the budgets as JSON")
@@ -493,8 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_refl.set_defaults(func=cmd_reflectivity)
 
     p_lidt = sub.add_parser("lidt", help="damage-threshold conversions")
-    p_lidt.add_argument("--preset", choices=("conservative", "fiber-fuse"))
-    p_lidt.add_argument("--power", type=float, metavar="W")
+    lidt_input = p_lidt.add_mutually_exclusive_group(required=True)
+    lidt_input.add_argument("--preset", choices=("conservative", "fiber-fuse"))
+    lidt_input.add_argument("--power", type=float, metavar="W")
     p_lidt.add_argument("--lambda", type=float, dest="wavelength_m",
                         metavar="M", help="wavelength of the input power")
     p_lidt.add_argument("--pulse-width", type=float, metavar="S",

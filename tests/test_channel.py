@@ -73,17 +73,18 @@ class TestRecordsAreValidatedTuples:
 
 class TestSourceModel:
     def test_single_photon_takes_no_intensity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="takes no intensity"):
             SourceModel("single_photon", 0.5)
 
     def test_decoy_needs_positive_intensity(self):
-        with pytest.raises(ValueError):
+        message = "decoy source needs signal intensity s > 0"
+        with pytest.raises(ValueError, match=message):
             SourceModel("decoy")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             SourceModel("decoy", 0.0)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown source kind 'entangled'"):
             SourceModel("entangled")
 
 

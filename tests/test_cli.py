@@ -6,7 +6,8 @@ import pytest
 from thabound import cli, keyrate
 from thabound.attacks import AttackModel, no_attack
 from thabound.channel import ChannelParams, decoy_state, single_photon
-from thabound.cli import SWEEP_CSV_HEADER, config_from_json, main
+from thabound import budget as budget_mod
+from thabound.cli import SWEEP_CSV_HEADER, main
 from thabound.keyrate import rates_at
 
 from conftest import DATA_DIR, read_sweep_csv
@@ -16,78 +17,21 @@ BUDGET = ["budget", "--mu-out", "1e-6", "--photon-flux", "1e20", "--clock-hz", "
 CHANNEL = ChannelParams(0.2, 0.125, 0.01, 1e-5, 1.2)
 
 
-def config_dict(tmp_path, **overrides):
-    """A JSON config as the --config flag reads it."""
-    base = {
-        "channel": {"alpha_db_per_km": 0.2, "eta_det": 0.125, "e_opt": 0.01,
-                    "p_dark": 1e-5, "f_ec": 1.2},
-        "source": {"kind": "single_photon"},
-        "attacks": [{"kind": "none", "mu_out": 0.0},
-                    {"kind": "general", "mu_out": 1e-6}],
-        "sweep": {"l_min_km": 0.0, "l_max_km": 10.0, "step_km": 1.0},
-        "output_path": str(tmp_path / "out.csv"),
-    }
-    base.update(overrides)
-    return base
-
-
-class TestConfigRoundTrip:
-    def test_single_photon(self, tmp_path):
-        config = config_from_json(json.dumps(config_dict(tmp_path)))
-        assert config == (CHANNEL, single_photon(),
-                          (no_attack(), AttackModel("general", 1e-6)),
-                          (0.0, 10.0, 1.0),
-                          str(tmp_path / "out.csv"))
-
-    def test_decoy(self, tmp_path):
-        text = json.dumps(config_dict(
-            tmp_path, source={"kind": "decoy", "s": 0.5},
-            attacks=[{"kind": "usd", "mu_out": 3e-2}]))
-        assert config_from_json(text) == (
-            CHANNEL, decoy_state(0.5), (AttackModel("usd", 3e-2),),
-            (0.0, 10.0, 1.0), str(tmp_path / "out.csv"))
-
-    def test_missing_key_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_json("{}")
-
-
-CONFIG_NUMBERS = (*ChannelParams._fields, "s", "mu_out",
-                  "l_min_km", "l_max_km", "step_km")
 CATALOG_KEYS = ("isolator_db_values", "reflectivity_db_values",
                 "filter_db_values")
 
 
-def config_with_number(tmp_path, field, value):
-    """config_dict with the number `field` of CONFIG_NUMBERS set to value."""
-    config = config_dict(tmp_path)
-    if field in config["channel"]:
-        config["channel"][field] = value
-    elif field in config["sweep"]:
-        config["sweep"][field] = value
-    elif field == "s":
-        config["source"] = {"kind": "decoy", "s": value}
-    else:
-        config["attacks"] = [{"kind": "general", "mu_out": value}]
-    return config
-
-
 class TestConfigValueTypes:
-    """Config numbers are JSON numbers and the output path a JSON string."""
+    """Catalog values in a budget --config file are JSON numbers."""
 
     @pytest.mark.parametrize("value", [True, False, "0.5"])
-    @pytest.mark.parametrize("field", [*CONFIG_NUMBERS, *CATALOG_KEYS])
+    @pytest.mark.parametrize("field", CATALOG_KEYS)
     def test_non_number_exits_one_without_output(self, tmp_path, monkeypatch,
                                                  capsys, field, value):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "run.json"
-        if field in CATALOG_KEYS:
-            path.write_text(json.dumps({"catalog": {field: [value]}}))
-            argv = [*BUDGET, "--config", str(path)]
-        else:
-            path.write_text(json.dumps(config_with_number(tmp_path, field, value)))
-            argv = ["sweep", "--config", str(path)]
-        assert main(argv) == 1
+        path.write_text(json.dumps({"catalog": {field: [value]}}))
+        assert main([*BUDGET, "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: {field} must be a JSON number, "
@@ -96,31 +40,20 @@ class TestConfigValueTypes:
 
     def test_integer_too_large_for_a_float(self, tmp_path, capsys):
         path = tmp_path / "run.json"
-        path.write_text(json.dumps(
-            config_with_number(tmp_path, "l_max_km", 10**400)))
-        assert main(["sweep", "--config", str(path)]) == 1
-        assert "l_max_km must be finite" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [path]
-
-    def test_integers_read_as_floats(self, tmp_path):
-        text = json.dumps(config_dict(
-            tmp_path, sweep={"l_min_km": 0, "l_max_km": 10, "step_km": 1}))
-        sweep = config_from_json(text)[3]
-        assert sweep == (0.0, 10.0, 1.0)
-        assert all(type(bound) is float for bound in sweep)
-
-    @pytest.mark.parametrize("value", [None, 3, ["out.csv"]])
-    def test_output_path_must_be_a_string(self, tmp_path, monkeypatch, capsys,
-                                          value):
-        monkeypatch.chdir(tmp_path)
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(config_dict(tmp_path, output_path=value)))
-        assert main(["sweep", "--config", str(path)]) == 1
+        path.write_text(json.dumps({"catalog": {"filter_db_values": [-10**400]}}))
+        assert main([*BUDGET, "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: output_path must be a string, "
-                                f"got {value!r}\n")
-        assert list(tmp_path.iterdir()) == [path]
+        assert "filter_db_values must be finite" in captured.err
+
+    def test_integers_read_as_floats(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"catalog": {key: [0, -40]
+                                                for key in CATALOG_KEYS}}))
+        catalog = cli._catalog_from_config(str(path))
+        assert catalog == budget_mod.ComponentCatalog((0.0, -40.0), (0.0, -40.0),
+                                                      (0.0, -40.0))
+        assert all(type(value) is float for values in catalog for value in values)
 
 
 class TestSweepCommand:
@@ -203,17 +136,6 @@ class TestSweepCommand:
         mus = sorted({r.mu_out for r in rows if r.attack == "usd"})
         assert mus == [1e-3, 1e-2, 3e-2]
         assert len(rows) == 4 * 201
-
-    def test_config_file_input(self, tmp_path):
-        config = config_dict(
-            tmp_path, attacks=[{"kind": "passive", "mu_out": 0.1}],
-            sweep={"l_min_km": 0.0, "l_max_km": 4.0, "step_km": 2.0})
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(config))
-        assert main(["sweep", "--config", str(path)]) == 0
-        rows = read_sweep_csv(config["output_path"])
-        assert len(rows) == 3
-        assert rows[0].attack == "passive"
 
     def test_unwritable_output_fails_cleanly(self, tmp_path, capsys):
         code = main(["sweep", "--output",
@@ -354,6 +276,18 @@ class TestBudgetCommand:
                                    "attenuator_db", "reflectivity_db",
                                    "total_db"]
 
+    def test_default_attenuator_depth_is_the_library_default(self, tmp_path):
+        gamma = budget_mod.required_isolation(1e-6, 1e20, 1e9)
+        plans = budget_mod.plan_budget(gamma)
+        # A target where a 30 dB attenuator cap plans differently.
+        assert budget_mod.plan_budget(gamma, max_attenuator_db=-30.0) != plans
+        out = tmp_path / "budget.json"
+        assert main([*BUDGET, "--output", str(out)]) == 0
+        fields = budget_mod.IsolationBudget._fields
+        written = [budget_mod.IsolationBudget(*(entry[key] for key in fields))
+                   for entry in json.loads(out.read_text())["budgets"]]
+        assert written == plans
+
     @pytest.mark.parametrize("config, field", [
         ([1], "catalog"),
         ({"catalog": [1]}, "catalog"),
@@ -451,6 +385,21 @@ class TestLidtCommand:
     def test_no_input_exits_one(self, capsys):
         assert main(["lidt"]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--preset", "conservative", "--lambda", "800e-9"],
+         "--lambda only applies to --power"),
+        (["--preset", "fiber-fuse", "--power", "5", "--lambda", "1550e-9"],
+         "argument --power: not allowed with argument --preset"),
+        (["--power", "1", "--lambda", "1550e-9", "--bend-edge-compensation"],
+         "--bend-edge-compensation only applies to a --preset"),
+    ])
+    def test_conflicting_inputs_exit_one_without_output(self, capsys, flags,
+                                                        message):
+        assert main(["lidt", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestConvexityCommand:
     def test_small_run_passes(self, capsys):
@@ -508,10 +457,12 @@ class TestUsageErrors:
         assert main(["sweep", "--attack", "quantum:abc"]) == 1
         assert "could not convert string to float: 'abc'" in capsys.readouterr().err
 
-    def test_preset_and_config_conflict(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text("{}")
-        assert main(["sweep", "--preset", "fig3", "--config", str(cfg)]) == 1
+    @pytest.mark.parametrize("command", ["sweep", "threshold"])
+    def test_config_is_unrecognized(self, capsys, command):
+        assert main([command, "--config", "x.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --config x.json" in captured.err
 
 
 class TestNonFiniteInput:
@@ -590,21 +541,6 @@ class TestOneOwnerPerRule:
         assert code == 1
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("source, message", [
-        ({"kind": "entangled"}, "unknown source kind 'entangled'"),
-        ({"kind": "single_photon", "s": 0.5}, "takes no intensity"),
-        ({"kind": "decoy"}, "decoy source needs signal intensity s > 0"),
-        ({"s": 0.5}, "bad config: 'kind'"),
-        ("decoy", "bad config"),
-    ])
-    def test_config_source_exits_one_without_output(self, tmp_path, capsys,
-                                                    source, message):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(config_dict(tmp_path, source=source)))
-        assert main(["sweep", "--config", str(path)]) == 1
-        assert message in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [path]
 
     def test_channel_override_keeps_other_fields(self):
         args = cli.build_parser().parse_args(

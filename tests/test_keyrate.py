@@ -14,6 +14,8 @@ from thabound.channel import (
     single_photon_link,
 )
 from thabound.keyrate import (
+    LENGTH_BRACKET_KM,
+    LENGTH_TOL_KM,
     MAX_GRID_POINTS,
     MAX_HALVINGS,
     NoPositiveRateError,
@@ -275,6 +277,23 @@ def exact_threshold(channel, source, kind):
                        obs.y1 * math.sin(half_angle) ** 2)
 
 
+def exact_reach(channel, source, attack):
+    """The largest length with a positive rate, as fine as floats allow.
+
+    An oracle for max_distance that bisects rate_at in L with no tolerance,
+    so the result is the last float before the rate drops to 0.  Relies on
+    the rate being nonincreasing in length (TestMonotonicity).  Returns None
+    when there is no key at zero distance.
+    """
+    def minus_rate(length):
+        return -rate_at(channel, source, attack, length)
+
+    if minus_rate(0.0) >= 0.0:
+        return None
+    assert minus_rate(LENGTH_BRACKET_KM) == 0.0
+    return _last_below(minus_rate, 0.0, LENGTH_BRACKET_KM, 0.0)
+
+
 def _seeded_cases(seed, count):
     """(channel, source) pairs over the ranges of the planning benchmark."""
     rng = random.Random(seed)
@@ -362,6 +381,23 @@ class TestMaxDistance:
         assert rate_at(CHANNEL, SP, no_attack(), reach - 0.2) > 0.0
         assert rate_at(CHANNEL, SP, no_attack(), reach + 0.2) == 0.0
 
+    @pytest.mark.parametrize("attack", [
+        no_attack(), AttackModel("general", 1e-6), AttackModel("passive", 0.1),
+        AttackModel("usd", 1e-2)], ids=str)
+    @pytest.mark.parametrize("channel,source", TestExactThreshold.CASES)
+    def test_within_tolerance_of_exact_reach(self, channel, source, attack):
+        exact = exact_reach(channel, source, attack)
+        try:
+            reach = max_distance(channel, source, attack)
+        except NoPositiveRateError:
+            assert exact is None
+            return
+        assert exact is not None
+        assert abs(reach - exact) <= LENGTH_TOL_KM
+        assert rate_at(channel, source, attack, exact) > 0.0
+        assert rate_at(channel, source, attack,
+                       math.nextafter(exact, math.inf)) == 0.0
+
 
 class TestVerifyConvexity:
     def test_degenerate_pair(self):
@@ -402,21 +438,39 @@ class TestVerifyConvexity:
         assert verify_convexity(CHANNEL, DECOY, kind, length, mu1, mu2)
 
 
+# Channels over the ranges of the planning benchmark, both sources, and
+# leakage both uniform and log-uniform down to 1e-10.
+CHANNELS = st.builds(ChannelParams,
+                     st.floats(min_value=0.16, max_value=0.25),
+                     st.floats(min_value=0.05, max_value=0.6),
+                     st.floats(min_value=0.005, max_value=0.03),
+                     st.floats(min_value=-7.0, max_value=-5.0).map(lambda e: 10.0 ** e),
+                     st.floats(min_value=1.05, max_value=1.25))
+SOURCES = st.one_of(st.just(SP),
+                    st.builds(decoy_state, st.floats(min_value=0.2, max_value=0.8)))
+LEAKAGES = st.one_of(st.floats(min_value=0.0, max_value=0.5),
+                     st.floats(min_value=-10.0, max_value=-1.0).map(lambda e: 10.0 ** e))
+
+
 class TestMonotonicity:
-    @settings(max_examples=60)
-    @given(st.floats(min_value=0.0, max_value=0.5),
-           st.floats(min_value=0.0, max_value=0.5),
+    @settings(derandomize=True, max_examples=100)
+    @given(CHANNELS, SOURCES, LEAKAGES, LEAKAGES,
+           st.floats(min_value=0.0, max_value=300.0),
            st.sampled_from(["general", "passive", "usd"]))
-    def test_rate_nonincreasing_in_leakage(self, a, b, kind):
+    def test_rate_nonincreasing_in_leakage(self, channel, source, a, b, length,
+                                           kind):
         lo, hi = sorted((a, b))
-        r_lo = rate_at(CHANNEL, SP, AttackModel(kind, lo), 30.0)
-        r_hi = rate_at(CHANNEL, SP, AttackModel(kind, hi), 30.0)
+        r_lo, r_hi = rates_at(channel, source, (AttackModel(kind, lo),
+                                                AttackModel(kind, hi)), length)
         assert r_hi <= r_lo + 1e-12
 
-    @settings(max_examples=60)
-    @given(st.floats(min_value=0.0, max_value=250.0),
-           st.floats(min_value=0.0, max_value=250.0))
-    def test_rate_nonincreasing_in_distance(self, a, b):
+    @settings(derandomize=True, max_examples=100)
+    @given(CHANNELS, SOURCES, st.floats(min_value=0.0, max_value=300.0),
+           st.floats(min_value=0.0, max_value=300.0),
+           st.sampled_from(["none", "general", "passive", "usd"]), LEAKAGES)
+    def test_rate_nonincreasing_in_distance(self, channel, source, a, b, kind,
+                                            mu):
+        attack = AttackModel(kind, 0.0 if kind == "none" else mu)
         lo, hi = sorted((a, b))
-        assert (rate_at(CHANNEL, SP, no_attack(), hi)
-                <= rate_at(CHANNEL, SP, no_attack(), lo) + 1e-12)
+        assert (rate_at(channel, source, attack, hi)
+                <= rate_at(channel, source, attack, lo) + 1e-12)
