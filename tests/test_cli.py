@@ -3,10 +3,10 @@ import math
 
 import pytest
 
-from thabound import cli, keyrate
-from thabound.attacks import AttackModel, no_attack
-from thabound.channel import ChannelParams, decoy_state, single_photon
 from thabound import budget as budget_mod
+from thabound import cli, keyrate
+from thabound.attacks import AttackModel
+from thabound.channel import ChannelParams, single_photon
 from thabound.cli import SWEEP_CSV_HEADER, main
 from thabound.keyrate import rates_at
 
