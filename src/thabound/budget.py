@@ -202,14 +202,13 @@ class ComponentCatalog(namedtuple("ComponentCatalog",
     _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
-        for values in (self.isolator_db_values, self.reflectivity_db_values,
-                       self.filter_db_values):
+        for name, values in zip(self._fields, self):
             if not values:
-                raise ValueError("catalog value sets must be nonempty")
+                raise ValueError(f"{name} must be nonempty")
             for value in values:
                 if not -math.inf < value <= 0.0:
                     raise ValueError(
-                        f"catalog values must be finite and <= 0 dB, got {value!r}")
+                        f"{name} must be finite and <= 0 dB, got {value!r}")
 
 
 def plan_budget(gamma_target_db: float,

@@ -52,17 +52,16 @@ class ReflectionPeak(namedtuple("ReflectionPeak",
             raise ValueError("polarization must be short_arm or long_arm")
 
 
-def parse_trace(text) -> list[ReflectionPeak]:
+def parse_trace(text: str) -> list[ReflectionPeak]:
     """Parse a reflection-peak CSV: distance_m,reflectivity_db,polarization.
 
-    Accepts a string or any iterable of lines; blank lines and '#' comments
-    are skipped, and line numbers in errors count every physical line, as
-    an editor would.  Polarization tags are 's' (short arm) and 'l' (long
-    arm).  Returns the peaks in file order.
+    Takes the file's text; blank lines and '#' comments are skipped, and
+    line numbers in errors count every physical line, as an editor would.
+    Polarization tags are 's' (short arm) and 'l' (long arm).  Returns the
+    peaks in file order.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
     peaks = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

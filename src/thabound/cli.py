@@ -72,17 +72,6 @@ class UsageError(Exception):
     """Bad command line; mapped to exit code 1."""
 
 
-def _json_number(name: str, value) -> float:
-    """A number read from a budget catalog: an int or a float, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a JSON number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got an integer too large "
-                         "for a float") from None
-
-
 def _parse_attack_spec(spec: str) -> AttackModel:
     """Parse an --attack value: 'none', or 'kind:mu' like 'general:1e-6'."""
     kind, _, mu_text = spec.partition(":")
@@ -248,35 +237,14 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
-def _catalog_from_config(path: str | None) -> budget_mod.ComponentCatalog:
-    if path is None:
-        return budget_mod.ComponentCatalog()
-    with open(path, encoding="utf-8") as handle:
-        data = json.loads(handle.read())
-    if not isinstance(data, dict):
-        raise ValueError("budget config must be a JSON object with a "
-                         "'catalog' object")
-    entry = data.get("catalog", {})
-    if not isinstance(entry, dict):
-        raise ValueError(f"catalog must be a JSON object, got {entry!r}")
-    kwargs = {}
-    for key in ("isolator_db_values", "reflectivity_db_values",
-                "filter_db_values"):
-        if key in entry:
-            values = entry[key]
-            if not isinstance(values, list):
-                raise ValueError(f"catalog {key} must be a list of numbers, "
-                                 f"got {values!r}")
-            kwargs[key] = tuple(_json_number(key, v) for v in values)
-    return budget_mod.ComponentCatalog(**kwargs)
-
-
 def cmd_budget(args: argparse.Namespace) -> int:
     # Planning runs before the first line is printed, so bad input exits 1
     # with nothing on stdout.
     gamma = budget_mod.required_isolation(args.mu_out, args.photon_flux,
                                           args.clock_hz)
-    catalog = _catalog_from_config(args.config)
+    catalog = budget_mod.ComponentCatalog(**{
+        field: tuple(values) for field in budget_mod.ComponentCatalog._fields
+        if (values := getattr(args, field)) is not None})
     max_att = -abs(args.max_attenuator_db)
     budgets = budget_mod.plan_budget(gamma, catalog=catalog,
                                      max_attenuator_db=max_att,
@@ -439,8 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="damage-threshold flux N (photons per second)")
     p_budget.add_argument("--clock-hz", type=float, required=True,
                           help="system clock rate f_A")
-    p_budget.add_argument("--config", metavar="PATH",
-                          help="JSON file with a component catalog")
+    for flag, field in (("--isolator-db", "isolator_db_values"),
+                        ("--reflectivity-db", "reflectivity_db_values"),
+                        ("--filter-db", "filter_db_values")):
+        p_budget.add_argument(flag, type=float, action="append", dest=field,
+                              metavar="DB",
+                              help="catalog value (nonpositive); repeatable, "
+                                   "replaces the stock set")
     p_budget.add_argument("--no-attenuator", action="store_true",
                           help="exclude attenuators (single-photon sources)")
     p_budget.add_argument("--max-attenuator-db", type=float,
@@ -485,11 +458,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so a closed pipe is caught below and not at exit.
+        sys.stdout.flush()
+        return code
     except NoPositiveRateError as exc:
         # Before ValueError, which it subclasses.
         print(f"insecure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Before OSError: the reader closed stdout early, which is no usage
+        # error.  Unwritten output goes to /dev/null, so the flush at exit
+        # cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

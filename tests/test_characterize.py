@@ -73,10 +73,6 @@ class TestParseTrace:
         assert err.value.line_no == 2
         assert value in str(err.value)
 
-    def test_accepts_iterable_of_lines(self):
-        peaks = parse_trace(["1.0,-40.0,s\n", "2.0,-50.0,l\n"])
-        assert len(peaks) == 2
-
     def test_fixture_file_order(self):
         peaks = parse_trace(FIXTURE.read_text())
         assert len(peaks) == 6

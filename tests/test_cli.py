@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,45 +18,6 @@ from conftest import DATA_DIR, read_sweep_csv
 PEAKS = str(DATA_DIR / "transmitter_peaks.csv")
 BUDGET = ["budget", "--mu-out", "1e-6", "--photon-flux", "1e20", "--clock-hz", "1e9"]
 CHANNEL = ChannelParams(0.2, 0.125, 0.01, 1e-5, 1.2)
-
-
-CATALOG_KEYS = ("isolator_db_values", "reflectivity_db_values",
-                "filter_db_values")
-
-
-class TestConfigValueTypes:
-    """Catalog values in a budget --config file are JSON numbers."""
-
-    @pytest.mark.parametrize("value", [True, False, "0.5"])
-    @pytest.mark.parametrize("field", CATALOG_KEYS)
-    def test_non_number_exits_one_without_output(self, tmp_path, monkeypatch,
-                                                 capsys, field, value):
-        monkeypatch.chdir(tmp_path)
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"catalog": {field: [value]}}))
-        assert main([*BUDGET, "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: {field} must be a JSON number, "
-                                f"got {value!r}\n")
-        assert list(tmp_path.iterdir()) == [path]
-
-    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"catalog": {"filter_db_values": [-10**400]}}))
-        assert main([*BUDGET, "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "filter_db_values must be finite" in captured.err
-
-    def test_integers_read_as_floats(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"catalog": {key: [0, -40]
-                                                for key in CATALOG_KEYS}}))
-        catalog = cli._catalog_from_config(str(path))
-        assert catalog == budget_mod.ComponentCatalog((0.0, -40.0), (0.0, -40.0),
-                                                      (0.0, -40.0))
-        assert all(type(value) is float for values in catalog for value in values)
 
 
 class TestSweepCommand:
@@ -255,18 +219,34 @@ class TestBudgetCommand:
         for entry in payload["budgets"]:
             assert entry["total_db"] <= -170.0 + 1e-9
 
-    def test_catalog_from_config_file(self, tmp_path, capsys):
-        config = tmp_path / "catalog.json"
-        config.write_text(json.dumps(
-            {"catalog": {"isolator_db_values": [-55.0],
-                         "reflectivity_db_values": [-45.0]}}))
-        code = main(["budget", "--mu-out", "1e-6", "--photon-flux", "1e20",
-                     "--clock-hz", "1e9", "--config", str(config),
-                     "--no-attenuator"])
+    def test_catalog_from_flags(self, capsys):
+        # A value with an exponent needs the = form, or argparse takes it
+        # for an option.
+        code = main([*BUDGET, "--isolator-db=-5.5e1", "--reflectivity-db",
+                     "-45", "--no-attenuator"])
         assert code == 0
         out = capsys.readouterr().out
         assert "x -55" in out
         assert "x -60" not in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "5"])
+    @pytest.mark.parametrize("flag, field", [
+        ("--isolator-db", "isolator_db_values"),
+        ("--reflectivity-db", "reflectivity_db_values"),
+        ("--filter-db", "filter_db_values"),
+    ])
+    def test_bad_catalog_value_exits_one_without_output(self, capsys, flag,
+                                                        field, value):
+        assert main([*BUDGET, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {field} must be finite and <= 0 dB" in captured.err
+
+    def test_misspelled_catalog_flag_exits_one(self, capsys):
+        assert main([*BUDGET, "--isolator-dbs", "-30"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --isolator-dbs -30" in captured.err
 
     def test_json_fields_in_record_order(self, tmp_path, capsys):
         out = tmp_path / "budget.json"
@@ -287,24 +267,6 @@ class TestBudgetCommand:
         written = [budget_mod.IsolationBudget(*(entry[key] for key in fields))
                    for entry in json.loads(out.read_text())["budgets"]]
         assert written == plans
-
-    @pytest.mark.parametrize("config, field", [
-        ([1], "catalog"),
-        ({"catalog": [1]}, "catalog"),
-        ({"catalog": {"isolator_db_values": -50}}, "isolator_db_values"),
-        ({"catalog": {"filter_db_values": [None]}}, "filter_db_values"),
-        ({"catalog": {"reflectivity_db_values": ["deep"]}},
-         "reflectivity_db_values"),
-    ])
-    def test_malformed_config_exits_one_without_output(self, tmp_path, capsys,
-                                                       config, field):
-        path = tmp_path / "catalog.json"
-        path.write_text(json.dumps(config))
-        assert main([*BUDGET, "--config", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert field in captured.err
 
 
 class TestReflectivityCommand:
@@ -457,12 +419,29 @@ class TestUsageErrors:
         assert main(["sweep", "--attack", "quantum:abc"]) == 1
         assert "could not convert string to float: 'abc'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["sweep", "threshold"])
+    @pytest.mark.parametrize("command", ["sweep", "threshold", "budget"])
     def test_config_is_unrecognized(self, capsys, command):
-        assert main([command, "--config", "x.json"]) == 1
+        argv = BUDGET if command == "budget" else [command]
+        assert main([*argv, "--config", "x.json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --config x.json" in captured.err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [["threshold", "--preset", "fig3"], BUDGET])
+    def test_closed_pipe_exits_one_quietly(self, argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "thabound", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+        finally:
+            os.close(write_end)
+        assert result.stderr == b""
+        assert result.returncode == 1
 
 
 class TestNonFiniteInput:

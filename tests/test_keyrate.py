@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thabound.attacks import AttackModel, coin_imbalance, no_attack
+from thabound.attacks import (
+    AttackModel,
+    coin_imbalance,
+    no_attack,
+    phase_error_passive,
+    usd_conclusive_fraction,
+)
 from thabound import keyrate
 from thabound.channel import (
     ChannelParams,
@@ -247,7 +253,7 @@ def _last_below(f, lo, hi, target):
 
 
 def exact_threshold(channel, source, kind):
-    """The zero-distance leakage threshold of a general or passive attack.
+    """The zero-distance leakage threshold of an attack kind.
 
     An oracle for mu_out_threshold that inverts the bound instead of
     searching the rate.  At zero distance the rate
@@ -257,8 +263,12 @@ def exact_threshold(channel, source, kind):
     inverts in closed form.  The general attack's e' is the angle form
     sin^2(arcsin sqrt(e1) + 2 arcsin sqrt(Delta')), with Delta' = Delta / Y1,
     so Delta* = Y1 sin^2((arcsin sqrt(e*) - arcsin sqrt(e1)) / 2) and
-    mu* = coin_imbalance^-1(Delta*) (increasing on [0, 2]).  Returns None
-    when there is no key even without leakage.
+    mu* = coin_imbalance^-1(Delta*) (increasing on [0, 2]).  The USD
+    attack's privacy term (1 - c) (1 - h(min(1/2, e' / (1 - c)))), with c the
+    conclusive fraction, has no closed inverse, so mu* is bisected to
+    adjacent floats on [0, 1], where the rate is nonincreasing in mu
+    (TestMonotonicity).  Returns None when there is no key even without
+    leakage.
     """
     if source.kind == "single_photon":
         obs = single_photon_link(channel, 0.0)
@@ -266,6 +276,21 @@ def exact_threshold(channel, source, kind):
         obs = decoy_link(channel, 0.0, source.s)
     if obs.q1 == 0.0:
         return None
+    if kind == "usd":
+        ec_cost = obs.q_x * channel.f_ec * binary_entropy(obs.e_x)
+
+        def deficit(mu):
+            conclusive = usd_conclusive_fraction(mu, obs.y1)
+            if conclusive is None:
+                return math.inf
+            ratio = min(0.5, phase_error_passive(obs.e1, mu) / (1.0 - conclusive))
+            privacy = (1.0 - conclusive) * (1.0 - binary_entropy(ratio))
+            return ec_cost - obs.q1 * privacy
+
+        if deficit(0.0) >= 0.0:
+            return None
+        assert deficit(1.0) > 0.0
+        return _last_below(deficit, 0.0, 1.0, 0.0)
     bound = 1.0 - channel.f_ec * binary_entropy(obs.e_x) * obs.q_x / obs.q1
     e_star = _last_below(binary_entropy, 0.0, 0.5, bound)
     if e_star <= obs.e1:
@@ -316,13 +341,12 @@ class TestExactThreshold:
     CASES = [(CHANNEL, SP), (CHANNEL, DECOY), (DEAD_CHANNEL, SP),
              (DEAD_CHANNEL, DECOY), *_seeded_cases(15, 16)]
 
-    @pytest.mark.parametrize("source,kind,expected", [
-        row for row in TestThresholdSearch.FROZEN if row[1] != "usd"])
+    @pytest.mark.parametrize("source,kind,expected", TestThresholdSearch.FROZEN)
     def test_oracle_matches_frozen_thresholds(self, source, kind, expected):
         assert exact_threshold(CHANNEL, source, kind) == pytest.approx(
             expected, rel=1e-11)
 
-    @pytest.mark.parametrize("kind", ["general", "passive"])
+    @pytest.mark.parametrize("kind", ["general", "passive", "usd"])
     @pytest.mark.parametrize("channel,source", CASES)
     def test_search_brackets_exact_threshold(self, monkeypatch, channel,
                                              source, kind):
@@ -398,6 +422,26 @@ class TestMaxDistance:
                            math.nextafter(exact, math.inf)) == 0.0
 
 
+def _powers_of_ten(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+# Channels over the ranges of the planning benchmark, both sources, and
+# leakage both uniform and log-uniform down to 1e-10.
+CHANNELS = st.builds(ChannelParams,
+                     st.floats(min_value=0.16, max_value=0.25),
+                     st.floats(min_value=0.05, max_value=0.6),
+                     st.floats(min_value=0.005, max_value=0.03),
+                     _powers_of_ten(-7.0, -5.0),
+                     st.floats(min_value=1.05, max_value=1.25))
+SOURCES = st.one_of(st.just(SP), st.builds(
+    decoy_state, st.floats(min_value=0.2, max_value=0.8)))
+LEAKAGES = st.one_of(st.floats(min_value=0.0, max_value=0.5),
+                     _powers_of_ten(-10.0, -1.0))
+# The convexity subcommand's default range, uniform on [0, 0.6], as well.
+CONVEXITY_LEAKAGES = st.one_of(LEAKAGES, st.floats(min_value=0.0, max_value=0.6))
+
+
 class TestVerifyConvexity:
     def test_degenerate_pair(self):
         assert verify_convexity(CHANNEL, SP, "general", 0.0, 0.01, 0.01)
@@ -427,32 +471,13 @@ class TestVerifyConvexity:
         with pytest.raises(ValueError, match=message):
             verify_convexity(CHANNEL, SP, kind, 0.0, mu1, mu2)
 
-    @settings(max_examples=60)
-    @given(st.floats(min_value=0.0, max_value=0.6),
-           st.floats(min_value=0.0, max_value=0.6),
-           st.sampled_from([0.0, 25.0, 75.0]),
+    @settings(derandomize=True, max_examples=150)
+    @given(CHANNELS, SOURCES, CONVEXITY_LEAKAGES, CONVEXITY_LEAKAGES,
+           st.floats(min_value=0.0, max_value=300.0),
            st.sampled_from(["general", "passive", "usd"]))
-    def test_holds_on_random_pairs(self, mu1, mu2, length, kind):
-        assert verify_convexity(CHANNEL, SP, kind, length, mu1, mu2)
-        assert verify_convexity(CHANNEL, DECOY, kind, length, mu1, mu2)
-
-
-def _powers_of_ten(lo, hi):
-    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
-
-
-# Channels over the ranges of the planning benchmark, both sources, and
-# leakage both uniform and log-uniform down to 1e-10.
-CHANNELS = st.builds(ChannelParams,
-                     st.floats(min_value=0.16, max_value=0.25),
-                     st.floats(min_value=0.05, max_value=0.6),
-                     st.floats(min_value=0.005, max_value=0.03),
-                     _powers_of_ten(-7.0, -5.0),
-                     st.floats(min_value=1.05, max_value=1.25))
-SOURCES = st.one_of(st.just(SP), st.builds(
-    decoy_state, st.floats(min_value=0.2, max_value=0.8)))
-LEAKAGES = st.one_of(st.floats(min_value=0.0, max_value=0.5),
-                     _powers_of_ten(-10.0, -1.0))
+    def test_holds_on_random_pairs(self, channel, source, mu1, mu2, length,
+                                   kind):
+        assert verify_convexity(channel, source, kind, length, mu1, mu2)
 
 
 class TestMonotonicity:
