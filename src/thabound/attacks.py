@@ -7,10 +7,11 @@ states, its yield-renormalized form, the inflated phase-error rates of the
 three attack models, and the conclusive fraction of an intercept-resend
 strategy built on unambiguous state discrimination (USD).
 
-Functions that can leave the validity domain of the underlying bound
-(renormalized imbalance at or above 1/2, conclusive fraction at or above 1)
-return ``None`` as an "insecure" sentinel instead of a number; the key-rate
-engine maps that to a zero rate.
+Only ``effective_imbalance`` and ``usd_conclusive_fraction`` can leave the
+validity domain of the bound (renormalized imbalance at or above 1/2,
+conclusive fraction at or above 1); they return ``None`` as an "insecure"
+sentinel, which the key-rate engine maps to a zero rate.  Inputs are taken
+as validated: mu_out by ``AttackModel``, a positive yield by ``rates_at``.
 """
 
 import math
@@ -72,8 +73,6 @@ def coin_imbalance(mu_out: float) -> float:
     sin^2(pi/8) and the general-attack phase error is clamped to 1/2
     either way (on the preset channel Delta' >= 1/2 outright).
     """
-    if mu_out < 0.0:
-        raise ValueError("mu_out must be >= 0")
     half_sin = math.sin(0.5 * mu_out)
     return 0.5 * (2.0 * half_sin * half_sin
                   - math.expm1(-mu_out) * math.cos(mu_out))
@@ -83,25 +82,21 @@ def effective_imbalance(delta: float, yield_min: float) -> float | None:
     """Imbalance renormalized by the minimum yield: Delta' = Delta / yield.
 
     Returns None (insecure) once Delta' reaches 1/2, where the phase-error
-    bound becomes vacuous.  Raises if there are no detections at all.
+    bound becomes vacuous.
     """
-    if yield_min <= 0.0:
-        raise ValueError("no detections; rate undefined")
     delta_eff = delta / yield_min
     if delta_eff >= 0.5:
         return None
     return delta_eff
 
 
-def phase_error_general(e_y: float, delta_eff: float | None) -> float | None:
+def phase_error_general(e_y: float, delta_eff: float) -> float:
     """Phase error inflated by a general attack, from the Bloch-sphere bound.
 
     e' = e + 4 d (1-d) (1-2e) + 4 (1-2d) sqrt(d (1-d) e (1-e)) with
-    d = delta_eff, clamped to 1/2 (larger values carry no extra penalty).
-    ``None`` propagates and is returned for delta_eff >= 1/2.
+    d = delta_eff < 1/2 (see effective_imbalance), clamped to 1/2 (larger
+    values carry no extra penalty).
     """
-    if delta_eff is None or delta_eff >= 0.5:
-        return None
     d = delta_eff
     inflated = (e_y
                 + 4.0 * d * (1.0 - d) * (1.0 - 2.0 * e_y)
@@ -116,8 +111,6 @@ def phase_error_passive(e_y: float, mu_out: float) -> float:
     The honest-channel correlation coefficient entering the bound is
     1 - 2 e_y, which makes e' = e_y exact at mu_out = 0.
     """
-    if mu_out < 0.0:
-        raise ValueError("mu_out must be >= 0")
     if mu_out == 0.0:
         return e_y
     return 0.5 * (1.0 - (1.0 - 2.0 * e_y) * math.exp(-2.0 * mu_out))
@@ -130,8 +123,6 @@ def usd_conclusive_fraction(mu_out: float, yield_min: float) -> float | None:
     bound on discriminating the probe states, renormalized by the minimum
     yield.  Returns None (insecure) once delta reaches 1.
     """
-    if yield_min <= 0.0:
-        raise ValueError("no detections; rate undefined")
     delta = -math.expm1(-2.0 * mu_out) / yield_min
     if delta >= 1.0:
         return None

@@ -173,11 +173,16 @@ def mu_out_bound(n_photons: float, f_a_hz: float, gamma_db: float) -> float:
 
 def required_isolation(mu_out_target: float, n_photons: float,
                        f_a_hz: float) -> float:
-    """Isolation (dB) needed to keep the leakage at mu_out_target."""
+    """Isolation (dB) needed to keep the leakage at mu_out_target.
+
+    Each factor is converted on its own, so a ratio N / f_A that overflows
+    or underflows a float still gives a finite target.
+    """
     _require_positive("mu_out", mu_out_target)
     _require_positive("photon flux", n_photons)
     _require_positive("clock rate", f_a_hz)
-    return db_from_linear(mu_out_target) - db_from_linear(n_photons / f_a_hz)
+    return (db_from_linear(mu_out_target) - db_from_linear(n_photons)
+            + db_from_linear(f_a_hz))
 
 
 class ComponentCatalog(namedtuple("ComponentCatalog",

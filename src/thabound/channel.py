@@ -118,8 +118,6 @@ class LinkObservables(namedtuple("LinkObservables", "q_x e_x y1 e1 q1")):
     def __post_init__(self) -> None:
         for field in (self.q_x, self.e_x, self.y1, self.e1, self.q1):
             probability(field)
-        if self.e_x > 0.5 + 1e-12:
-            raise ValueError(f"e_x above 1/2: {self.e_x!r}")
 
 
 def transmittance(params: ChannelParams, length_km: float) -> float:
@@ -143,7 +141,7 @@ def _single_photon_terms(params: ChannelParams, eta: float) -> tuple[float, floa
         # the all-zero channel reaches this).
         return 0.0, 0.5
     e1 = (params.e_opt * eta + 0.5 * (1.0 - eta) * params.p_dark) / y1
-    return y1, probability(e1)
+    return y1, e1
 
 
 def single_photon_link(params: ChannelParams, length_km: float) -> LinkObservables:
@@ -165,8 +163,6 @@ def decoy_link(params: ChannelParams, length_km: float, s: float) -> LinkObserva
     single-photon model (infinite-decoy limit) and the estimated
     single-photon gain is s exp(-s) Y1.
     """
-    if not s > 0.0:
-        raise ValueError("signal intensity s must be > 0")
     eta = transmittance(params, length_km)
     vac = math.exp(-eta * s)
     q_s = 1.0 - (1.0 - params.p_dark) * vac
@@ -174,6 +170,5 @@ def decoy_link(params: ChannelParams, length_km: float, s: float) -> LinkObserva
     if q_s == 0.0:
         return LinkObservables(0.0, 0.5, y1, e1, 0.0)
     e_s = (0.5 * params.p_dark * vac + params.e_opt * (1.0 - vac)) / q_s
-    e_s = probability(e_s)
     q1 = s * math.exp(-s) * y1
     return LinkObservables(q_s, e_s, y1, e1, q1)

@@ -92,17 +92,16 @@ def reflectivity_bound(peaks: list[ReflectionPeak],
     polarization arms bounds the reflectivity seen by any probe
     polarization.  Returns None when the region holds no peaks at all: "no
     reflectors found" is a different statement than "infinitely small
-    reflection".
+    reflection".  The sum is taken relative to the largest peak, so peaks
+    too deep for a float in linear units still give a finite bound.
     """
     d_min, d_max = region
     if not -math.inf < d_min <= d_max < math.inf:
         raise ValueError(f"region must be finite with d_min <= d_max, got {region!r}")
-    linear_sum = 0.0
-    found = False
-    for peak in peaks:
-        if d_min <= peak.distance_m <= d_max:
-            linear_sum += 10.0 ** (peak.reflectivity_db / 10.0)
-            found = True
-    if not found:
+    inside = [peak.reflectivity_db for peak in peaks
+              if d_min <= peak.distance_m <= d_max]
+    if not inside:
         return None
-    return db_from_linear(linear_sum)
+    top = max(inside)
+    return top + db_from_linear(math.fsum(10.0 ** ((r - top) / 10.0)
+                                          for r in inside))

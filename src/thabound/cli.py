@@ -245,9 +245,8 @@ def cmd_budget(args: argparse.Namespace) -> int:
     catalog = budget_mod.ComponentCatalog(**{
         field: tuple(values) for field in budget_mod.ComponentCatalog._fields
         if (values := getattr(args, field)) is not None})
-    max_att = -abs(args.max_attenuator_db)
     budgets = budget_mod.plan_budget(gamma, catalog=catalog,
-                                     max_attenuator_db=max_att,
+                                     max_attenuator_db=args.max_attenuator_db,
                                      allow_attenuator=not args.no_attenuator)
 
     print(f"required isolation: {gamma:.6g} dB")
@@ -417,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_budget.add_argument("--no-attenuator", action="store_true",
                           help="exclude attenuators (single-photon sources)")
     p_budget.add_argument("--max-attenuator-db", type=float,
-                          default=-budget_mod.MAX_ATTENUATOR_DB,
-                          help="deepest attenuator to consider (dB magnitude)")
+                          default=budget_mod.MAX_ATTENUATOR_DB, metavar="DB",
+                          help="deepest attenuator to consider (nonpositive)")
     p_budget.add_argument("--output", metavar="PATH",
                           help="also write the budgets as JSON")
     p_budget.set_defaults(func=cmd_budget)

@@ -98,21 +98,19 @@ def _privacy_factor(obs: LinkObservables, attack: AttackModel) -> float | None:
     if attack.kind == attacks.GENERAL:
         delta_eff = attacks.effective_imbalance(
             attacks.coin_imbalance(attack.mu_out), obs.y1)
-        e_phase = attacks.phase_error_general(obs.e1, delta_eff)
-        if e_phase is None:
+        if delta_eff is None:
             return None
-        return 1.0 - binary_entropy(e_phase)
+        return 1.0 - binary_entropy(attacks.phase_error_general(obs.e1, delta_eff))
     if attack.kind == attacks.PASSIVE:
         e_phase = attacks.phase_error_passive(obs.e1, attack.mu_out)
         return 1.0 - binary_entropy(e_phase)
-    if attack.kind == attacks.USD:
-        conclusive = attacks.usd_conclusive_fraction(attack.mu_out, obs.y1)
-        if conclusive is None:
-            return None
-        e_phase = attacks.phase_error_passive(obs.e1, attack.mu_out)
-        ratio = min(0.5, e_phase / (1.0 - conclusive))
-        return (1.0 - conclusive) * (1.0 - binary_entropy(ratio))
-    raise ValueError(f"unknown attack kind {attack.kind!r}")
+    # USD, the last kind AttackModel admits.
+    conclusive = attacks.usd_conclusive_fraction(attack.mu_out, obs.y1)
+    if conclusive is None:
+        return None
+    e_phase = attacks.phase_error_passive(obs.e1, attack.mu_out)
+    ratio = min(0.5, e_phase / (1.0 - conclusive))
+    return (1.0 - conclusive) * (1.0 - binary_entropy(ratio))
 
 
 def rates_at(channel: ChannelParams, source: SourceModel,

@@ -2,11 +2,17 @@ import pathlib
 from typing import NamedTuple
 
 import pytest
+from hypothesis import settings
 
 from thabound.channel import ChannelParams, decoy_state, single_photon
 from thabound.cli import SWEEP_CSV_HEADER
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+# Property tests draw the same examples on every run and keep no example
+# database, so every run checks the same cases and a failure reproduces.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 # Reference link used throughout: 0.2 dB/km fiber, 12.5% detection
 # efficiency, 1% optical error, 1e-5 dark counts, f_EC = 1.2.

@@ -82,10 +82,6 @@ class TestCoinImbalance:
                                                      rel=1e-12)
         assert coin_imbalance(1e-8) == pytest.approx(5e-9, rel=1e-12)
 
-    def test_negative_mu_rejected(self):
-        with pytest.raises(ValueError):
-            coin_imbalance(-0.1)
-
     def test_monotone_at_small_leakage(self):
         grid = [i * 0.01 for i in range(201)]
         values = [coin_imbalance(mu) for mu in grid]
@@ -110,10 +106,6 @@ class TestEffectiveImbalance:
         assert effective_imbalance(0.25, 0.5) is None  # boundary is vacuous
         assert effective_imbalance(0.2, 0.5) == pytest.approx(0.4, rel=1e-15)
 
-    def test_no_detections_raises(self):
-        with pytest.raises(ValueError):
-            effective_imbalance(0.01, 0.0)
-
     def test_zero_passes_through(self):
         assert effective_imbalance(0.0, 0.125) == 0.0
 
@@ -127,12 +119,6 @@ class TestPhaseErrorGeneral:
     def test_zero_imbalance_returns_error_exactly(self):
         for e in (0.0, 0.01, 0.11, 0.3):
             assert phase_error_general(e, 0.0) == e
-
-    def test_vacuous_propagates(self):
-        assert phase_error_general(0.01, None) is None
-
-    def test_vacuous_at_half_imbalance(self):
-        assert phase_error_general(0.01, 0.5) is None
 
     def test_clamped_at_half(self):
         assert phase_error_general(0.3, 0.4) == 0.5
@@ -208,10 +194,6 @@ class TestUsdConclusiveFraction:
         # raw fraction 1.729 exceeds 1: the bound says Eve could
         # unambiguously read every detected pulse
         assert usd_conclusive_fraction(1.0, 0.5) is None
-
-    def test_no_detections_raises(self):
-        with pytest.raises(ValueError):
-            usd_conclusive_fraction(0.01, 0.0)
 
     def test_matches_coherent_state_overlap(self):
         """Oracle: 1 - |<sqrt(mu)|-sqrt(mu)>|, the Ivanovic-Dieks-Peres bound.

@@ -146,6 +146,11 @@ class TestLeakageArithmetic:
     def test_required_isolation_trivial(self):
         assert required_isolation(1.0, 1e9, 1e9) == pytest.approx(0.0, abs=1e-12)
 
+    def test_required_isolation_ratio_outside_float_range(self):
+        # N / f_A is 0 or inf as a float; the target is still exact.
+        assert required_isolation(1e300, 1e-300, 1e300) == 9000.0
+        assert required_isolation(1e-300, 1e300, 1e-300) == -9000.0
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             required_isolation(0.0, 1e20, 1e9)

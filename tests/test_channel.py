@@ -192,10 +192,6 @@ class TestDecoyLink:
         assert calls == [25.0]
         assert built == [obs]
 
-    def test_intensity_must_be_positive(self, channel):
-        with pytest.raises(ValueError):
-            decoy_link(channel, 0.0, 0.0)
-
     @given(st.floats(min_value=0.0, max_value=400.0),
            st.floats(min_value=1e-3, max_value=2.0))
     def test_gain_exceeds_single_photon_share(self, length, s):

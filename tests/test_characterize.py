@@ -107,6 +107,15 @@ class TestReflectivityBound:
         bound = reflectivity_bound(peaks, (0.0, 7.0))
         assert bound == pytest.approx(-46.9897000434, rel=1e-10)
 
+    def test_peaks_below_float_range_stay_finite(self):
+        # 10**(-500) underflows to 0 in linear units.
+        peaks = [ReflectionPeak(1.0, -5000.0, SHORT_ARM),
+                 ReflectionPeak(2.0, -4000.0, LONG_ARM),
+                 ReflectionPeak(3.0, -4000.0, LONG_ARM)]
+        assert reflectivity_bound(peaks[:2], (0.0, 7.0)) == -4000.0
+        assert reflectivity_bound(peaks[1:], (0.0, 7.0)) == pytest.approx(
+            -4000.0 + 10.0 * math.log10(2.0), rel=1e-15)
+
     def test_no_peaks_in_region_is_distinct_from_tiny(self):
         peaks = [ReflectionPeak(9.0, -30.0, SHORT_ARM)]
         assert reflectivity_bound(peaks, (0.0, 7.0)) is None

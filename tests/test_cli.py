@@ -202,6 +202,23 @@ class TestBudgetCommand:
         first_row = lines[3].split()
         assert first_row[0] == "0"
 
+    def test_underflowing_flux_ratio_gives_finite_target(self, capsys):
+        # N / f_A underflows to 0 as a float; each factor alone is finite.
+        code = main(["budget", "--mu-out", "1e300", "--photon-flux", "1e-300",
+                     "--clock-hz", "1e300"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "required isolation: 9000 dB")
+
+    def test_overflowing_flux_ratio_is_infeasible(self, capsys):
+        # N / f_A overflows to inf as a float.
+        code = main(["budget", "--mu-out", "1e-300", "--photon-flux", "1e300",
+                     "--clock-hz", "1e-300"])
+        assert code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "required isolation: -9000 dB"
+        assert "no feasible" in lines[1]
+
     def test_infeasible_exits_two(self, capsys):
         code = main(["budget", "--mu-out", "1e-30", "--photon-flux", "1e20",
                      "--clock-hz", "1", "--no-attenuator"])
@@ -256,17 +273,25 @@ class TestBudgetCommand:
                                    "attenuator_db", "reflectivity_db",
                                    "total_db"]
 
+    @staticmethod
+    def _written_budgets(tmp_path, *flags):
+        out = tmp_path / "budget.json"
+        assert main([*BUDGET, *flags, "--output", str(out)]) == 0
+        fields = budget_mod.IsolationBudget._fields
+        return [budget_mod.IsolationBudget(*(entry[key] for key in fields))
+                for entry in json.loads(out.read_text())["budgets"]]
+
     def test_default_attenuator_depth_is_the_library_default(self, tmp_path):
         gamma = budget_mod.required_isolation(1e-6, 1e20, 1e9)
         plans = budget_mod.plan_budget(gamma)
         # A target where a 30 dB attenuator cap plans differently.
         assert budget_mod.plan_budget(gamma, max_attenuator_db=-30.0) != plans
-        out = tmp_path / "budget.json"
-        assert main([*BUDGET, "--output", str(out)]) == 0
-        fields = budget_mod.IsolationBudget._fields
-        written = [budget_mod.IsolationBudget(*(entry[key] for key in fields))
-                   for entry in json.loads(out.read_text())["budgets"]]
-        assert written == plans
+        assert self._written_budgets(tmp_path) == plans
+
+    def test_attenuator_depth_flag_is_nonpositive_db(self, tmp_path):
+        gamma = budget_mod.required_isolation(1e-6, 1e20, 1e9)
+        assert self._written_budgets(tmp_path, "--max-attenuator-db", "-30") == (
+            budget_mod.plan_budget(gamma, max_attenuator_db=-30.0))
 
 
 class TestReflectivityCommand:
@@ -277,6 +302,15 @@ class TestReflectivityCommand:
         assert out.strip().endswith("-42.87 dB")
         assert out.count("yes") == 4
         assert out.count("no") >= 2
+
+    def test_deep_peaks_give_finite_bound(self, tmp_path, capsys):
+        # 10**(-500) underflows to 0 in linear units.
+        trace = tmp_path / "deep.csv"
+        trace.write_text("1.0,-5000,s\n2.0,-4000,l\n")
+        code = main(["reflectivity", "--trace", str(trace),
+                     "--region", "0", "7"])
+        assert code == 0
+        assert capsys.readouterr().out.strip().endswith("-4000.00 dB")
 
     def test_no_reflectors_message(self, capsys):
         code = main(["reflectivity", "--trace", PEAKS,
@@ -482,6 +516,7 @@ class TestNonFiniteInput:
         (["lidt", "--power", "1", "--lambda", "inf"], "wavelength"),
         (["lidt", "--preset", "conservative", "--pulse-width", "inf"], "pulse width"),
         (["reflectivity", "--trace", PEAKS, "--region", "nan", "7"], "region"),
+        ([*BUDGET, "--max-attenuator-db", "30"], "max_attenuator_db"),
     ])
     def test_planning_exits_one_without_output(self, capsys, argv, field):
         # A repeated flag overrides the BUDGET value given before it.

@@ -100,8 +100,15 @@ class TestRatesAt:
         assert together == alone
 
     def test_no_detections_gives_one_zero_per_attack(self):
-        dark = ChannelParams(0.2, 0.0, 0.01, 0.0, 1.2)
-        assert rates_at(dark, SP, self.ATTACKS, 10.0) == [0.0] * len(self.ATTACKS)
+        # The one owner of "no detections": the attack formulas are never
+        # asked with a zero yield.  A decoy source goes through decoy_link's
+        # q_s == 0 branch; at 20,000 km eta underflows to 0.
+        blind = ChannelParams(0.2, 0.0, 0.01, 0.0, 1.2)
+        dark = ChannelParams(0.2, 0.125, 0.01, 0.0, 1.2)
+        for channel, length in ((blind, 10.0), (dark, 20_000.0)):
+            for source in (SP, DECOY):
+                assert rates_at(channel, source, self.ATTACKS, length) == (
+                    [0.0] * len(self.ATTACKS)), (channel, source, length)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="length_km"):
@@ -471,7 +478,7 @@ class TestVerifyConvexity:
         with pytest.raises(ValueError, match=message):
             verify_convexity(CHANNEL, SP, kind, 0.0, mu1, mu2)
 
-    @settings(derandomize=True, max_examples=150)
+    @settings(max_examples=150)
     @given(CHANNELS, SOURCES, CONVEXITY_LEAKAGES, CONVEXITY_LEAKAGES,
            st.floats(min_value=0.0, max_value=300.0),
            st.sampled_from(["general", "passive", "usd"]))
@@ -481,7 +488,7 @@ class TestVerifyConvexity:
 
 
 class TestMonotonicity:
-    @settings(derandomize=True, max_examples=100)
+    @settings(max_examples=100)
     @given(CHANNELS, SOURCES, LEAKAGES, LEAKAGES,
            st.floats(min_value=0.0, max_value=300.0),
            st.sampled_from(["general", "passive", "usd"]))
@@ -492,7 +499,7 @@ class TestMonotonicity:
                                                 AttackModel(kind, hi)), length)
         assert r_hi <= r_lo + 1e-12
 
-    @settings(derandomize=True, max_examples=100)
+    @settings(max_examples=100)
     @given(CHANNELS, SOURCES, st.floats(min_value=0.0, max_value=300.0),
            st.floats(min_value=0.0, max_value=300.0),
            st.sampled_from(["none", "general", "passive", "usd"]), LEAKAGES)
