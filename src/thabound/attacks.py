@@ -17,7 +17,7 @@ as validated: mu_out by ``AttackModel``, a positive yield by ``rates_at``.
 import math
 from collections import namedtuple
 
-from thabound.numerics import validated_make
+from thabound.numerics import nonnegative, validated_make
 
 NO_ATTACK = "none"
 GENERAL = "general"
@@ -46,10 +46,7 @@ class AttackModel(namedtuple("AttackModel", "kind mu_out")):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}; choose from "
                              f"{', '.join(ATTACK_KINDS)}")
-        if not math.isfinite(self.mu_out):
-            raise ValueError(f"mu_out must be finite, got {self.mu_out!r}")
-        if self.mu_out < 0.0:
-            raise ValueError("mu_out must be >= 0")
+        nonnegative("mu_out", self.mu_out)
         if self.kind == NO_ATTACK and self.mu_out != 0.0:
             raise ValueError("kind 'none' requires mu_out = 0")
 

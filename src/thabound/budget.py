@@ -11,7 +11,13 @@ mu_out = (N / f_A) * gamma.
 import math
 from collections import namedtuple
 
-from thabound.numerics import db_from_linear, linear_from_db, validated_make
+from thabound.numerics import (
+    db_from_linear,
+    linear_from_db,
+    nonpositive_db,
+    positive,
+    validated_make,
+)
 
 # Exact SI defined values.
 PLANCK_H_JS = 6.62607015e-34
@@ -21,12 +27,6 @@ MAX_ISOLATORS = 5
 ATTENUATOR_STEP_DB = 5.0
 # Deepest attenuator plan_budget considers by default, and the CLI's too.
 MAX_ATTENUATOR_DB = -35.0
-
-
-def _require_positive(name: str, value: float) -> None:
-    # Written so that NaN and +inf fail the comparison.
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 class LidtSpec(namedtuple("LidtSpec",
@@ -50,9 +50,9 @@ class LidtSpec(namedtuple("LidtSpec",
     _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
-        _require_positive("photon_flux", self.photon_flux)
-        _require_positive("pulse_width_ref_s", self.pulse_width_ref_s)
-        _require_positive("wavelength_ref_m", self.wavelength_ref_m)
+        positive("photon_flux", self.photon_flux)
+        positive("pulse_width_ref_s", self.pulse_width_ref_s)
+        positive("wavelength_ref_m", self.wavelength_ref_m)
 
 
 def conservative_preset(bend_edge_compensation: bool = False) -> LidtSpec:
@@ -91,7 +91,7 @@ def lidt_scale_pulse_width(spec: LidtSpec, tau_new_s: float) -> LidtSpec:
     Thermal damage fluence grows as sqrt(tau), so the tolerable flux obeys
     flux(tau1) / flux(tau2) = sqrt(tau1 / tau2).
     """
-    _require_positive("pulse width", tau_new_s)
+    positive("pulse width", tau_new_s)
     factor = math.sqrt(tau_new_s / spec.pulse_width_ref_s)
     return LidtSpec(photon_flux=spec.photon_flux * factor,
                     pulse_width_ref_s=tau_new_s,
@@ -104,7 +104,7 @@ def lidt_scale_wavelength(spec: LidtSpec, lambda_new_m: float) -> LidtSpec:
     Shorter wavelengths damage more easily; the flux scales as
     sqrt(lambda_new / lambda_ref).
     """
-    _require_positive("wavelength", lambda_new_m)
+    positive("wavelength", lambda_new_m)
     factor = math.sqrt(lambda_new_m / spec.wavelength_ref_m)
     return LidtSpec(photon_flux=spec.photon_flux * factor,
                     pulse_width_ref_s=spec.pulse_width_ref_s,
@@ -113,8 +113,8 @@ def lidt_scale_wavelength(spec: LidtSpec, lambda_new_m: float) -> LidtSpec:
 
 def photon_flux_from_power(power_w: float, wavelength_m: float) -> float:
     """Photons per second in an optical beam: N = P lambda / (h c)."""
-    _require_positive("power", power_w)
-    _require_positive("wavelength", wavelength_m)
+    positive("power", power_w)
+    positive("wavelength", wavelength_m)
     return power_w * wavelength_m / (PLANCK_H_JS * SPEED_OF_LIGHT_M_S)
 
 
@@ -140,15 +140,14 @@ class IsolationBudget(namedtuple("IsolationBudget",
     _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
-        # Written so that NaN and -inf fail the comparisons.
-        if not (-math.inf < self.filter_db <= 0.0
-                and -math.inf < self.isolator_db <= 0.0
-                and -math.inf < self.attenuator_db <= 0.0
-                and -math.inf < self.reflectivity_db <= 0.0):
-            raise ValueError("component values must be finite and <= 0 dB, "
-                             f"got {self!r}")
-        if self.isolator_count < 0 or self.isolator_count != int(self.isolator_count):
-            raise ValueError("isolator_count must be a nonnegative integer")
+        nonpositive_db("filter_db", self.filter_db)
+        nonpositive_db("isolator_db", self.isolator_db)
+        nonpositive_db("attenuator_db", self.attenuator_db)
+        nonpositive_db("reflectivity_db", self.reflectivity_db)
+        # NaN fails the first test and inf the second (inf % 1 is NaN).
+        if not (0 <= self.isolator_count and self.isolator_count % 1 == 0):
+            raise ValueError("isolator_count must be a nonnegative integer, "
+                             f"got {self.isolator_count!r}")
 
 
 def isolation_total(b: IsolationBudget) -> float:
@@ -161,14 +160,16 @@ def mu_out_bound(n_photons: float, f_a_hz: float, gamma_db: float) -> float:
     """Leakage bound mu_out = (N / f_A) * gamma, computed in dB.
 
     N is the damage-limited photon flux, f_A the clock rate, gamma the
-    round-trip isolation.
+    round-trip isolation.  Each factor is converted on its own, as in
+    required_isolation, so a ratio N / f_A outside the float range still
+    gives the bound.
     """
-    _require_positive("photon flux", n_photons)
-    _require_positive("clock rate", f_a_hz)
+    positive("photon flux", n_photons)
+    positive("clock rate", f_a_hz)
     if not math.isfinite(gamma_db):
         raise ValueError(f"isolation must be finite, got {gamma_db!r}")
-    chi_db = db_from_linear(n_photons / f_a_hz)
-    return linear_from_db(chi_db + gamma_db)
+    return linear_from_db(db_from_linear(n_photons) - db_from_linear(f_a_hz)
+                          + gamma_db)
 
 
 def required_isolation(mu_out_target: float, n_photons: float,
@@ -178,9 +179,9 @@ def required_isolation(mu_out_target: float, n_photons: float,
     Each factor is converted on its own, so a ratio N / f_A that overflows
     or underflows a float still gives a finite target.
     """
-    _require_positive("mu_out", mu_out_target)
-    _require_positive("photon flux", n_photons)
-    _require_positive("clock rate", f_a_hz)
+    positive("mu_out", mu_out_target)
+    positive("photon flux", n_photons)
+    positive("clock rate", f_a_hz)
     return (db_from_linear(mu_out_target) - db_from_linear(n_photons)
             + db_from_linear(f_a_hz))
 
@@ -211,9 +212,7 @@ class ComponentCatalog(namedtuple("ComponentCatalog",
             if not values:
                 raise ValueError(f"{name} must be nonempty")
             for value in values:
-                if not -math.inf < value <= 0.0:
-                    raise ValueError(
-                        f"{name} must be finite and <= 0 dB, got {value!r}")
+                nonpositive_db(name, value)
 
 
 def plan_budget(gamma_target_db: float,
@@ -237,9 +236,7 @@ def plan_budget(gamma_target_db: float,
         catalog = ComponentCatalog()
     if not math.isfinite(gamma_target_db):
         raise ValueError(f"isolation target must be finite, got {gamma_target_db!r}")
-    if not -math.inf < max_attenuator_db <= 0.0:
-        raise ValueError("max_attenuator_db must be finite and <= 0, "
-                         f"got {max_attenuator_db!r}")
+    nonpositive_db("max_attenuator_db", max_attenuator_db)
     if allow_attenuator:
         steps = int(math.floor(abs(max_attenuator_db) / ATTENUATOR_STEP_DB + 1e-9))
         attenuators = [0.0] + [-ATTENUATOR_STEP_DB * k for k in range(1, steps + 1)]

@@ -10,7 +10,7 @@ equal the true ones.
 import math
 from collections import namedtuple
 
-from thabound.numerics import probability, validated_make
+from thabound.numerics import nonnegative, positive, probability, validated_make
 
 SINGLE_PHOTON = "single_photon"
 DECOY = "decoy"
@@ -37,24 +37,16 @@ class ChannelParams(namedtuple("ChannelParams",
     _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
-        for name, value in zip(self._fields, self):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.alpha_db_per_km < 0.0:
-            raise ValueError("alpha_db_per_km must be >= 0")
-        for name in ("eta_det", "e_opt", "p_dark"):
-            value = getattr(self, name)
-            try:
-                probability(value)
-            except ValueError:
-                raise ValueError(
-                    f"{name} must be a probability in [0, 1], got {value!r}") from None
+        nonnegative("alpha_db_per_km", self.alpha_db_per_km)
+        probability("eta_det", self.eta_det)
+        probability("e_opt", self.e_opt)
+        probability("p_dark", self.p_dark)
         # e1 is a weighted mean of e_opt and 1/2, so a larger e_opt leaves
         # every QBER above 1/2.
         if self.e_opt > 0.5:
             raise ValueError(f"e_opt must be at most 1/2, got {self.e_opt!r}")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be >= 1")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec!r}")
 
 
 class SourceModel(namedtuple("SourceModel", "kind s")):
@@ -74,10 +66,9 @@ class SourceModel(namedtuple("SourceModel", "kind s")):
             if self.s is not None:
                 raise ValueError("single-photon source takes no intensity")
         elif self.kind == DECOY:
-            if self.s is None or not self.s > 0.0:
+            if self.s is None:
                 raise ValueError("decoy source needs signal intensity s > 0")
-            if not math.isfinite(self.s):
-                raise ValueError(f"s must be finite, got {self.s!r}")
+            positive("s", self.s)
         else:
             raise ValueError(f"unknown source kind {self.kind!r}")
 
@@ -116,15 +107,13 @@ class LinkObservables(namedtuple("LinkObservables", "q_x e_x y1 e1 q1")):
     _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
-        for field in (self.q_x, self.e_x, self.y1, self.e1, self.q1):
-            probability(field)
+        for value in self:
+            probability("link observable", value)
 
 
 def transmittance(params: ChannelParams, length_km: float) -> float:
     """Overall transmission eta = eta_det * 10^(-alpha L / 10)."""
-    # Written so that NaN and +inf fail the comparison.
-    if not 0.0 <= length_km < math.inf:
-        raise ValueError(f"length_km must be finite and >= 0, got {length_km!r}")
+    nonnegative("length_km", length_km)
     return params.eta_det * 10.0 ** (-params.alpha_db_per_km * length_km / 10.0)
 
 

@@ -8,7 +8,12 @@ the isolation budget.
 import math
 from collections import namedtuple
 
-from thabound.numerics import db_from_linear, validated_make
+from thabound.numerics import (
+    db_from_linear,
+    nonnegative,
+    nonpositive_db,
+    validated_make,
+)
 
 SHORT_ARM = "short_arm"
 LONG_ARM = "long_arm"
@@ -42,12 +47,8 @@ class ReflectionPeak(namedtuple("ReflectionPeak",
     _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
-        # Written so that NaN and +-inf fail the comparison.
-        if not 0.0 <= self.distance_m < math.inf:
-            raise ValueError(f"distance must be finite and >= 0 m, got {self.distance_m!r}")
-        if not -math.inf < self.reflectivity_db <= 0.0:
-            raise ValueError("reflectivity must be finite and <= 0 dB, "
-                             f"got {self.reflectivity_db!r}")
+        nonnegative("distance_m", self.distance_m)
+        nonpositive_db("reflectivity_db", self.reflectivity_db)
         if self.polarization not in (SHORT_ARM, LONG_ARM):
             raise ValueError("polarization must be short_arm or long_arm")
 

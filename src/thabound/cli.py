@@ -16,7 +16,6 @@ formats in text reports.
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -42,6 +41,7 @@ from thabound.keyrate import (
     sweep_lengths,
     verify_convexity,
 )
+from thabound.numerics import positive
 
 SWEEP_CSV_HEADER = "length_km,mu_out,attack,source,rate"
 
@@ -348,9 +348,7 @@ def cmd_convexity(args: argparse.Namespace) -> int:
     if not 1 <= args.pairs <= MAX_CONVEXITY_PAIRS:
         raise UsageError(f"--pairs must be between 1 and {MAX_CONVEXITY_PAIRS}, "
                          f"got {args.pairs}")
-    # Written so that NaN and +inf fail the comparison.
-    if not 0.0 < args.mu_max < math.inf:
-        raise UsageError(f"--mu-max must be finite and > 0, got {args.mu_max!r}")
+    positive("--mu-max", args.mu_max)
     rng = random.Random(args.seed)
     sources = (single_photon(), decoy_state(0.5))
     kinds = (attacks_mod.GENERAL, attacks_mod.PASSIVE, attacks_mod.USD)

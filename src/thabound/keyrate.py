@@ -26,7 +26,7 @@ from thabound.channel import (
     decoy_link,
     single_photon_link,
 )
-from thabound.numerics import binary_entropy, validated_make
+from thabound.numerics import binary_entropy, nonnegative, positive, validated_make
 
 # Rates below this are reported as zero (and flagged insecure); they are
 # beyond physical relevance and keep log-scale plots finite.
@@ -64,9 +64,7 @@ class RateQuery(namedtuple("RateQuery", "channel source attack length_km")):
     _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
-        # Written so that NaN and +inf fail the comparison.
-        if not 0.0 <= self.length_km < math.inf:
-            raise ValueError(f"length_km must be finite and >= 0, got {self.length_km!r}")
+        nonnegative("length_km", self.length_km)
 
 
 RatePoint = namedtuple("RatePoint", "length_km rate secure")
@@ -159,11 +157,11 @@ def sweep_lengths(l_min: float, l_max: float, step: float) -> list[float]:
     A grid of more than MAX_GRID_POINTS points raises ValueError, so a bad
     step fails before any rate is evaluated.
     """
-    for name, value in (("l_min", l_min), ("l_max", l_max), ("step", step)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if step <= 0.0 or not l_min < l_max or l_min < 0.0:
-        raise ValueError("empty sweep grid")
+    nonnegative("l_min", l_min)
+    positive("step", step)
+    if not l_min < l_max < math.inf:
+        raise ValueError("empty sweep grid: l_max must be finite and above "
+                         f"l_min, got {l_max!r}")
     last = (l_max - l_min) / step + 1e-9
     if last >= MAX_GRID_POINTS:
         raise ValueError(f"sweep grid exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS} "

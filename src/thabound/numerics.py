@@ -1,7 +1,7 @@
 """Scalar primitives shared by every other module.
 
-Binary entropy, decibel conversions, a probability validator that
-absorbs floating-point spill at the boundaries, and the validating
+Binary entropy, decibel conversions, the four range checks that the
+records and entry points validate scalar inputs with, and the validating
 ``_make`` of the package's record types.
 """
 
@@ -9,25 +9,32 @@ import math
 
 _LN2 = math.log(2.0)
 
-# Downstream formulas routinely produce values like 1 + 2e-16 from rounding;
-# anything inside this guard band is snapped to the boundary instead of
-# aborting a sweep.
-BOUNDARY_GUARD = 1e-12
+
+# Written so that NaN and +-inf fail: each range check is one chained
+# comparison, which NaN fails, and an open end is a strict bound at +-inf.
+
+def probability(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
 
 
-def probability(value: float) -> float:
-    """Validate that ``value`` is a probability and return it.
+def positive(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is in (0, inf)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
-    Values within BOUNDARY_GUARD of 0 or 1 are clamped to the boundary;
-    values further outside [0, 1] raise ValueError.
-    """
-    if 0.0 <= value <= 1.0:
-        return value
-    if -BOUNDARY_GUARD <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + BOUNDARY_GUARD:
-        return 1.0
-    raise ValueError(f"not a probability: {value!r}")
+
+def nonnegative(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is in [0, inf)."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def nonpositive_db(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is in (-inf, 0] dB."""
+    if not -math.inf < value <= 0.0:
+        raise ValueError(f"{name} must be finite and <= 0 dB, got {value!r}")
 
 
 def validated_make(cls, iterable):
@@ -45,7 +52,7 @@ def binary_entropy(p: float) -> float:
     Evaluated with natural logs rescaled by 1/ln 2, which is reproducible
     to ~1e-15 across platforms (library log2 implementations vary more).
     """
-    p = probability(p)
+    probability("p", p)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p)) / _LN2

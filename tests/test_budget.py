@@ -123,6 +123,12 @@ class TestIsolationBudget:
         with pytest.raises(ValueError):
             IsolationBudget(isolator_count=-1)
 
+    @pytest.mark.parametrize("count", [-1, 2.5, math.nan, math.inf])
+    def test_isolator_count_must_be_a_nonnegative_integer(self, count):
+        with pytest.raises(ValueError,
+                           match="isolator_count must be a nonnegative integer"):
+            IsolationBudget(isolator_count=count)
+
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     @pytest.mark.parametrize("field", ["filter_db", "isolator_db",
                                        "attenuator_db", "reflectivity_db"])
@@ -156,6 +162,10 @@ class TestLeakageArithmetic:
             required_isolation(0.0, 1e20, 1e9)
         with pytest.raises(ValueError):
             mu_out_bound(1e20, 0.0, -170.0)
+
+    def test_leakage_bound_ratio_outside_float_range(self):
+        # N / f_A underflows to 0 as a float; the bound is still exact.
+        assert mu_out_bound(1e-300, 1e300, 6000.0) == 1.0
 
     @given(st.floats(min_value=-300.0, max_value=0.0))
     def test_bound_and_requirement_are_inverse(self, gamma):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,10 +34,13 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(0.2, 0.1, 0.01, 1e-5, 0.9)
 
-    def test_boundary_spill_accepted_unchanged(self):
-        spilled = ChannelParams(0.2, 1.0 + 1e-13, 0.01, -1e-13, 1.2)
-        assert spilled.eta_det == 1.0 + 1e-13
-        assert spilled.p_dark == -1e-13
+    def test_boundary_spill_rejected(self):
+        # No tolerance band: 1e-13 outside [0, 1] is out of range.
+        message = "must be a probability in [0, 1], got "
+        with pytest.raises(ValueError, match=re.escape("eta_det " + message)):
+            ChannelParams(0.2, 1.0 + 1e-13, 0.01, 1e-5, 1.2)
+        with pytest.raises(ValueError, match=re.escape("p_dark " + message)):
+            ChannelParams(0.2, 0.125, 0.01, -1e-13, 1.2)
 
     @pytest.mark.parametrize("e_opt", [0.5 + 1e-12, 0.6, 1.0])
     def test_optical_error_above_half_rejected(self, e_opt):
@@ -77,10 +81,10 @@ class TestSourceModel:
             SourceModel("single_photon", 0.5)
 
     def test_decoy_needs_positive_intensity(self):
-        message = "decoy source needs signal intensity s > 0"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError,
+                           match="decoy source needs signal intensity s > 0"):
             SourceModel("decoy")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="s must be finite and > 0, got 0.0"):
             SourceModel("decoy", 0.0)
 
     def test_unknown_kind(self):

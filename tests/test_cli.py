@@ -498,6 +498,11 @@ class TestNonFiniteInput:
         (["--e-opt", "-0.5"], "e_opt"),
         (["--p-dark", "1.5"], "p_dark"),
         (["--e-opt", "0.6"], "e_opt must be at most 1/2, got 0.6"),
+        (["--eta-det", "1.0000000000005"], "eta_det must be a probability"),
+        (["--p-dark=-1e-13"], "p_dark must be a probability"),
+        (["--e-opt=-5e-13"], "e_opt must be a probability"),
+        (["--l-min=-1"], "l_min must be finite and >= 0"),
+        (["--step", "0"], "step must be finite and > 0"),
     ])
     def test_sweep_exits_one_without_output(self, tmp_path, capsys, flags,
                                             field):

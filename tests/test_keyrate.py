@@ -469,7 +469,7 @@ class TestVerifyConvexity:
             verify_convexity(CHANNEL, SP, "general", 0.0, -0.1, 0.1)
 
     @pytest.mark.parametrize("kind, mu1, mu2, message", [
-        ("general", -0.1, 0.1, "mu_out must be >= 0"),
+        ("general", -0.1, 0.1, "mu_out must be finite and >= 0"),
         ("passive", 0.1, math.nan, "mu_out must be finite"),
         ("none", 0.0, 0.1, "kind 'none' requires mu_out = 0"),
         ("siphon", 0.1, 0.1, "unknown attack kind 'siphon'"),
@@ -485,6 +485,35 @@ class TestVerifyConvexity:
     def test_holds_on_random_pairs(self, channel, source, mu1, mu2, length,
                                    kind):
         assert verify_convexity(channel, source, kind, length, mu1, mu2)
+
+
+# Every channel ChannelParams admits, with the exact ends of each range.
+def _unit_interval(hi: float = 1.0):
+    return st.one_of(st.sampled_from((0.0, hi)),
+                     st.floats(min_value=0.0, max_value=hi))
+
+
+FULL_CHANNELS = st.builds(ChannelParams, _unit_interval(), _unit_interval(),
+                          _unit_interval(0.5), _unit_interval(),
+                          st.floats(min_value=1.0, max_value=2.0))
+FULL_SOURCES = st.one_of(st.just(SP), st.builds(
+    decoy_state, st.floats(min_value=0.0, max_value=10.0, exclude_min=True)))
+
+
+class TestWholeDomain:
+    @settings(max_examples=200)
+    @given(FULL_CHANNELS, FULL_SOURCES,
+           st.one_of(st.floats(min_value=0.0, max_value=2.0),
+                     _powers_of_ten(-12.0, 0.0)),
+           st.floats(min_value=0.0, max_value=500.0))
+    def test_rates_are_probabilities(self, channel, source, mu, length):
+        # Every link observable is checked as a probability with no
+        # tolerance, so rounding must never carry one outside [0, 1].
+        rates = rates_at(channel, source,
+                         (no_attack(), AttackModel("general", mu),
+                          AttackModel("passive", mu), AttackModel("usd", mu)),
+                         length)
+        assert all(0.0 <= rate <= 1.0 for rate in rates), rates
 
 
 class TestMonotonicity:
