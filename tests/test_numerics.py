@@ -52,6 +52,16 @@ class TestBinaryEntropy:
             binary_entropy(1.1)
 
 
+class TestProbabilityClamp:
+    def test_passthrough(self):
+        assert probability("p", 0.3) is None
+
+    def test_rejects_beyond_guard(self):
+        for value in (-1e-9, 1.0 + 1e-9, -1e-13, 1.0 + 1e-13):
+            with pytest.raises(ValueError, match="^p must be a probability"):
+                probability("p", value)
+
+
 TINY = math.ulp(0.0)
 BIG = sys.float_info.max
 
