@@ -35,7 +35,7 @@ class AttackModel(namedtuple("AttackModel", "kind mu_out")):
 
     __slots__ = ()
 
-    def __new__(cls, kind, mu_out=0.0):
+    def __new__(cls, kind, mu_out):
         self = tuple.__new__(cls, (kind, mu_out))
         self.__post_init__()
         return self

@@ -91,7 +91,7 @@ def lidt_scale_pulse_width(spec: LidtSpec, tau_new_s: float) -> LidtSpec:
     Thermal damage fluence grows as sqrt(tau), so the tolerable flux obeys
     flux(tau1) / flux(tau2) = sqrt(tau1 / tau2).
     """
-    positive("pulse width", tau_new_s)
+    positive("pulse_width", tau_new_s)
     factor = math.sqrt(tau_new_s / spec.pulse_width_ref_s)
     return LidtSpec(photon_flux=spec.photon_flux * factor,
                     pulse_width_ref_s=tau_new_s,
@@ -114,7 +114,7 @@ def lidt_scale_wavelength(spec: LidtSpec, lambda_new_m: float) -> LidtSpec:
 def photon_flux_from_power(power_w: float, wavelength_m: float) -> float:
     """Photons per second in an optical beam: N = P lambda / (h c)."""
     positive("power", power_w)
-    positive("wavelength", wavelength_m)
+    positive("wavelength_m", wavelength_m)
     return power_w * wavelength_m / (PLANCK_H_JS * SPEED_OF_LIGHT_M_S)
 
 
@@ -164,8 +164,8 @@ def mu_out_bound(n_photons: float, f_a_hz: float, gamma_db: float) -> float:
     required_isolation, so a ratio N / f_A outside the float range still
     gives the bound.
     """
-    positive("photon flux", n_photons)
-    positive("clock rate", f_a_hz)
+    positive("photon_flux", n_photons)
+    positive("clock_hz", f_a_hz)
     if not math.isfinite(gamma_db):
         raise ValueError(f"isolation must be finite, got {gamma_db!r}")
     return linear_from_db(db_from_linear(n_photons) - db_from_linear(f_a_hz)
@@ -180,8 +180,8 @@ def required_isolation(mu_out_target: float, n_photons: float,
     or underflows a float still gives a finite target.
     """
     positive("mu_out", mu_out_target)
-    positive("photon flux", n_photons)
-    positive("clock rate", f_a_hz)
+    positive("photon_flux", n_photons)
+    positive("clock_hz", f_a_hz)
     return (db_from_linear(mu_out_target) - db_from_linear(n_photons)
             + db_from_linear(f_a_hz))
 

@@ -348,7 +348,7 @@ def cmd_convexity(args: argparse.Namespace) -> int:
     if not 1 <= args.pairs <= MAX_CONVEXITY_PAIRS:
         raise UsageError(f"--pairs must be between 1 and {MAX_CONVEXITY_PAIRS}, "
                          f"got {args.pairs}")
-    positive("--mu-max", args.mu_max)
+    positive("mu_max", args.mu_max)
     rng = random.Random(args.seed)
     sources = (single_photon(), decoy_state(0.5))
     kinds = (attacks_mod.GENERAL, attacks_mod.PASSIVE, attacks_mod.USD)

@@ -60,8 +60,7 @@ def binary_entropy(p: float) -> float:
 
 def db_from_linear(x: float) -> float:
     """Express a positive linear quantity in decibel: 10 log10(x)."""
-    if x <= 0.0:
-        raise ValueError(f"decibel conversion needs a positive value, got {x!r}")
+    positive("x", x)
     return 10.0 * math.log10(x)
 
 

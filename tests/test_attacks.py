@@ -18,7 +18,7 @@ from thabound.attacks import (
 class TestAttackModel:
     def test_unknown_kind_lists_the_kinds(self):
         with pytest.raises(ValueError) as info:
-            AttackModel("quantum")
+            AttackModel("quantum", 0.0)
         assert str(info.value) == ("unknown attack kind 'quantum'; choose from "
                                    "none, general, passive, usd")
 
@@ -194,6 +194,11 @@ class TestUsdConclusiveFraction:
         # raw fraction 1.729 exceeds 1: the bound says Eve could
         # unambiguously read every detected pulse
         assert usd_conclusive_fraction(1.0, 0.5) is None
+
+    def test_vacuous_at_exactly_one(self):
+        # The yield equals 1 - exp(-2 mu), so delta is exactly 1.
+        mu = 0.3
+        assert usd_conclusive_fraction(mu, -math.expm1(-2.0 * mu)) is None
 
     def test_matches_coherent_state_overlap(self):
         """Oracle: 1 - |<sqrt(mu)|-sqrt(mu)>|, the Ivanovic-Dieks-Peres bound.

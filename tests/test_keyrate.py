@@ -14,6 +14,7 @@ from thabound.attacks import (
 from thabound import keyrate
 from thabound.channel import (
     ChannelParams,
+    LinkObservables,
     decoy_link,
     decoy_state,
     single_photon,
@@ -84,6 +85,17 @@ class TestNoAttackIdentity:
                 baseline = rate_at(CHANNEL, source, no_attack(), length)
                 attacked = rate_at(CHANNEL, source, AttackModel("general", 0.0), length)
                 assert attacked == baseline
+
+
+class TestUsdPrivacy:
+    def test_zero_once_the_phase_error_ratio_passes_half(self):
+        # e1 = 0.4 and a conclusive fraction of 0.3 put e'/(1 - c) near 0.59.
+        obs = LinkObservables(q_x=0.5, e_x=0.4, y1=0.5, e1=0.4, q1=0.5)
+        attack = AttackModel("usd", -0.5 * math.log1p(-0.15))
+        conclusive = usd_conclusive_fraction(attack.mu_out, obs.y1)
+        assert conclusive == pytest.approx(0.3)
+        assert phase_error_passive(obs.e1, attack.mu_out) / (1.0 - conclusive) > 0.55
+        assert keyrate._privacy_factor(obs, attack) == 0.0
 
 
 class TestRatesAt:
@@ -467,6 +479,16 @@ class TestVerifyConvexity:
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
             verify_convexity(CHANNEL, SP, "general", 0.0, -0.1, 0.1)
+
+    @pytest.mark.parametrize("rate, convex", [(math.sqrt, False),
+                                              (lambda mu: mu, True)],
+                             ids=["concave", "linear"])
+    def test_compares_the_midpoint_with_the_chord(self, monkeypatch, rate,
+                                                  convex):
+        # sqrt(mu) is strictly concave; a linear rate meets its chord exactly.
+        monkeypatch.setattr(keyrate, "rates_at", lambda channel, source, attacks,
+                            length: [rate(a.mu_out) for a in attacks])
+        assert verify_convexity(CHANNEL, SP, "general", 0.0, 0.0, 0.5) is convex
 
     @pytest.mark.parametrize("kind, mu1, mu2, message", [
         ("general", -0.1, 0.1, "mu_out must be finite and >= 0"),

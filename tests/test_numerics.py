@@ -157,10 +157,10 @@ class TestDecibels:
         assert linear_from_db(db_from_linear(x)) == pytest.approx(x, rel=1e-12)
 
     def test_nonpositive_raises(self):
-        with pytest.raises(ValueError):
-            db_from_linear(0.0)
-        with pytest.raises(ValueError):
-            db_from_linear(-1.0)
+        for x in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError) as err:
+                db_from_linear(x)
+            assert str(err.value) == f"x must be finite and > 0, got {x!r}"
 
     def test_additive_in_linear_products(self):
         assert db_from_linear(0.25 * 0.5) == pytest.approx(
