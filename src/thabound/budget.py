@@ -150,10 +150,10 @@ class IsolationBudget(namedtuple("IsolationBudget",
                              f"got {self.isolator_count!r}")
 
 
-def isolation_total(b: IsolationBudget) -> float:
-    """Round-trip isolation: 2 F + n I + 2 A + R (all in dB)."""
-    return (2.0 * b.filter_db + b.isolator_count * b.isolator_db
-            + 2.0 * b.attenuator_db + b.reflectivity_db)
+def isolation_total(b: tuple) -> float:
+    """Round-trip isolation 2 F + n I + 2 A + R (dB) of a budget or its tuple."""
+    filter_db, isolator_db, n, attenuator_db, reflectivity_db = b
+    return 2.0 * filter_db + n * isolator_db + 2.0 * attenuator_db + reflectivity_db
 
 
 def mu_out_bound(n_photons: float, f_a_hz: float, gamma_db: float) -> float:
@@ -237,30 +237,23 @@ def plan_budget(gamma_target_db: float,
     if not math.isfinite(gamma_target_db):
         raise ValueError(f"isolation target must be finite, got {gamma_target_db!r}")
     nonpositive_db("max_attenuator_db", max_attenuator_db)
-    if allow_attenuator:
-        steps = int(math.floor(abs(max_attenuator_db) / ATTENUATOR_STEP_DB + 1e-9))
-        attenuators = [0.0] + [-ATTENUATOR_STEP_DB * k for k in range(1, steps + 1)]
-    else:
-        attenuators = [0.0]
+    depth = max_attenuator_db if allow_attenuator else 0.0
+    steps = int(math.floor(abs(depth) / ATTENUATOR_STEP_DB + 1e-9))
+    attenuators = [0.0] + [-ATTENUATOR_STEP_DB * k for k in range(1, steps + 1)]
 
-    # A set, so repeated catalog values give one budget; the final sort
-    # alone decides the order.
-    candidates = {IsolationBudget()}
+    # Tuples, not records: the catalog and the check above own every value.
+    # A set, so repeated values give one budget; the sort decides the order.
+    candidates = {(0.0, 0.0, 0, 0.0, 0.0)}
     for count in range(MAX_ISOLATORS + 1):
         for isolator in ([0.0] if count == 0 else catalog.isolator_db_values):
             for reflectivity in catalog.reflectivity_db_values:
                 for filter_db in catalog.filter_db_values:
                     for attenuator in attenuators:
-                        candidates.add(IsolationBudget(
-                            filter_db=filter_db,
-                            isolator_db=isolator,
-                            isolator_count=count,
-                            attenuator_db=attenuator,
-                            reflectivity_db=reflectivity,
-                        ))
+                        candidates.add((filter_db, isolator, count, attenuator,
+                                        reflectivity))
 
-    feasible = [b for b in candidates if isolation_total(b) <= gamma_target_db]
-    feasible.sort(key=lambda b: (b.isolator_count, abs(b.attenuator_db),
+    return sorted((IsolationBudget(*c) for c in candidates
+                   if isolation_total(c) <= gamma_target_db),
+                  key=lambda b: (b.isolator_count, abs(b.attenuator_db),
                                  abs(b.isolator_db), abs(b.reflectivity_db),
                                  abs(b.filter_db)))
-    return feasible

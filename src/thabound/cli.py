@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 
 from thabound import attacks as attacks_mod
@@ -372,6 +373,12 @@ def cmd_convexity(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse reads -50 as a value but -5e1, -inf and -nan as options.
+        self._negative_number_matcher = re.compile(
+            r"(?i)-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-(inf|infinity|nan)$")
+
     def error(self, message: str) -> None:
         raise UsageError(message)
 

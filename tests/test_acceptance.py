@@ -36,7 +36,7 @@ from thabound.budget import (
     photon_flux_from_power,
     required_isolation,
 )
-from thabound.channel import ChannelParams, decoy_state, single_photon
+from thabound.channel import decoy_state, single_photon
 from thabound.characterize import ReflectionPeak, parse_trace, reflectivity_bound
 from thabound.keyrate import (
     max_distance,
@@ -45,9 +45,8 @@ from thabound.keyrate import (
     verify_convexity,
 )
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REFERENCE_CHANNEL as CHANNEL
 
-CHANNEL = ChannelParams(0.2, 0.125, 0.01, 1e-5, 1.2)
 SP = single_photon()
 DECOY = decoy_state(0.5)
 

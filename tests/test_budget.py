@@ -257,6 +257,19 @@ class TestPlanBudget:
         assert budgets
         assert plan_budget(gamma, shuffled, allow_attenuator=allow) == budgets
 
+    @pytest.mark.parametrize("gamma", [0.0, -120.0, -170.0, -230.0, -360.0])
+    def test_no_attenuator_is_a_zero_depth_ladder(self, gamma):
+        assert plan_budget(gamma, allow_attenuator=False) == plan_budget(
+            gamma, max_attenuator_db=0.0)
+
+    def test_builds_a_record_only_for_each_returned_plan(self, monkeypatch):
+        built = []
+        check = IsolationBudget.__post_init__
+        monkeypatch.setattr(IsolationBudget, "__post_init__",
+                            lambda self: built.append(check(self)))
+        budgets = plan_budget(-170.0)
+        assert len(built) == len(budgets) == 126
+
     def test_positive_attenuator_limit_rejected(self):
         with pytest.raises(ValueError):
             plan_budget(-100.0, max_attenuator_db=5.0)

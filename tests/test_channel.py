@@ -14,9 +14,9 @@ from thabound.channel import (
     transmittance,
 )
 
-# module-level copy for @given tests (function-scoped fixtures and
-# hypothesis don't mix)
-CHANNEL = ChannelParams(0.2, 0.125, 0.01, 1e-5, 1.2)
+# A module-level name for @given tests (function-scoped fixtures and
+# hypothesis don't mix).
+from conftest import REFERENCE_CHANNEL as CHANNEL
 
 
 class TestChannelParams:
@@ -33,6 +33,11 @@ class TestChannelParams:
     def test_rejects_sub_shannon_error_correction(self):
         with pytest.raises(ValueError):
             ChannelParams(0.2, 0.1, 0.01, 1e-5, 0.9)
+
+    def test_error_correction_at_shannon_limit_accepted(self):
+        assert ChannelParams(0.2, 0.125, 0.01, 1e-5, 1.0).f_ec == 1.0
+        with pytest.raises(ValueError, match="f_ec must be finite and >= 1"):
+            ChannelParams(0.2, 0.125, 0.01, 1e-5, math.nextafter(1.0, 0.0))
 
     def test_boundary_spill_rejected(self):
         # No tolerance band: 1e-13 outside [0, 1] is out of range.

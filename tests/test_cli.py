@@ -11,15 +11,14 @@ import pytest
 from thabound import budget as budget_mod
 from thabound import cli, keyrate
 from thabound.attacks import AttackModel
-from thabound.channel import ChannelParams, single_photon
+from thabound.channel import single_photon
 from thabound.cli import SWEEP_CSV_HEADER, main
 from thabound.keyrate import rates_at
 
-from conftest import DATA_DIR, read_sweep_csv
+from conftest import DATA_DIR, REFERENCE_CHANNEL as CHANNEL, read_sweep_csv
 
 PEAKS = str(DATA_DIR / "transmitter_peaks.csv")
 BUDGET = ["budget", "--mu-out", "1e-6", "--photon-flux", "1e20", "--clock-hz", "1e9"]
-CHANNEL = ChannelParams(0.2, 0.125, 0.01, 1e-5, 1.2)
 
 
 class TestSweepCommand:
@@ -239,8 +238,6 @@ class TestBudgetCommand:
             assert entry["total_db"] <= -170.0 + 1e-9
 
     def test_catalog_from_flags(self, capsys):
-        # A value with an exponent needs the = form, or argparse takes it
-        # for an option.
         code = main([*BUDGET, "--isolator-db=-5.5e1", "--reflectivity-db",
                      "-45", "--no-attenuator"])
         assert code == 0
@@ -259,6 +256,17 @@ class TestBudgetCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {field} must be finite and <= 0 dB, got 5.0" in captured.err
+
+    def test_negative_exponent_is_a_value(self, capsys):
+        assert main([*BUDGET, "--isolator-db", "-5e1"]) == 0
+        exponent = capsys.readouterr()
+        assert main([*BUDGET, "--isolator-db", "-50"]) == 0
+        assert exponent == capsys.readouterr()
+
+    def test_option_after_value_flag_is_still_an_option(self, capsys):
+        assert main([*BUDGET, "--isolator-db", "-y"]) == 1
+        assert "argument --isolator-db: expected one argument" in (
+            capsys.readouterr().err)
 
     def test_misspelled_catalog_flag_exits_one(self, capsys):
         assert main([*BUDGET, "--isolator-dbs", "-30"]) == 1
@@ -338,6 +346,13 @@ class TestReflectivityCommand:
         code = main(["reflectivity", "--trace", str(tmp_path / "nope.csv"),
                      "--region", "0", "7"])
         assert code == 1
+
+    def test_bare_minus_inf_region_reaches_the_named_check(self, capsys):
+        code = main(["reflectivity", "--trace", PEAKS, "--region", "-inf", "7"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "region must be finite" in captured.err
 
 
 class TestLidtCommand:
@@ -517,10 +532,8 @@ def _bad_argvs(command, action, value):
     base = BASE_ARGV[command]
     option = action.option_strings[0]
     if action.nargs is None:
-        # The = form, or argparse reads -inf as an option.
-        return [[*base, f"{option}={value}"]]
-    # A multi-value flag has no = form, so a bare -inf is rejected by the
-    # parser itself, naming the flag all the same.
+        return [[*base, option, value], [*base, f"{option}={value}"]]
+    # A multi-value flag has no = form.
     start = base.index(option) + 1
     valid = base[start:start + action.nargs]
     return [[*base, option, *valid[:k], value, *valid[k + 1:]]
@@ -607,6 +620,10 @@ class TestOneOwnerPerRule:
         assert code == 1
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_reference_channel_is_the_preset_channel(self):
+        # The acceptance criteria run on the channel the figure presets use.
+        assert CHANNEL == cli.PRESET_CHANNEL
 
     def test_channel_override_keeps_other_fields(self):
         args = cli.build_parser().parse_args(

@@ -41,7 +41,8 @@ from thabound.keyrate import (
 )
 from thabound.numerics import binary_entropy
 
-CHANNEL = ChannelParams(0.2, 0.125, 0.01, 1e-5, 1.2)
+from conftest import REFERENCE_CHANNEL as CHANNEL
+
 SP = single_photon()
 DECOY = decoy_state(0.5)
 
