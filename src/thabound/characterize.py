@@ -62,23 +62,31 @@ def parse_trace(text: str) -> list[ReflectionPeak]:
     peaks in file order.
     """
     peaks = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
             continue
-        fields = [field.strip() for field in line.split(",")]
+        fields = line.split(",")
         if len(fields) != 3:
             raise TraceParseError(line_no, f"expected 3 fields, got {len(fields)}")
+        # float ignores the same surrounding whitespace as str.strip, except
+        # U+001F (unit separator), which the stripped retry accepts.
         try:
             distance = float(fields[0])
             reflectivity = float(fields[1])
         except ValueError:
-            raise TraceParseError(line_no, "distance and reflectivity must be numeric") from None
-        tag = fields[2]
-        if tag not in _POLARIZATION_TAGS:
+            try:
+                distance = float(fields[0].strip())
+                reflectivity = float(fields[1].strip())
+            except ValueError:
+                raise TraceParseError(
+                    line_no, "distance and reflectivity must be numeric") from None
+        tag = fields[2].strip()
+        arm = _POLARIZATION_TAGS.get(tag)
+        if arm is None:
             raise TraceParseError(line_no, f"polarization tag must be 's' or 'l', got {tag!r}")
         try:
-            peak = ReflectionPeak(distance, reflectivity, _POLARIZATION_TAGS[tag])
+            peak = ReflectionPeak(distance, reflectivity, arm)
         except ValueError as exc:
             raise TraceParseError(line_no, str(exc)) from None
         peaks.append(peak)

@@ -179,6 +179,10 @@ def _gnuplot_script(csv_path: str, blocks: list[AttackModel],
 def cmd_sweep(args: argparse.Namespace) -> int:
     channel, source, attack_list = _resolve_config(args)
     output_path = args.output or f"{args.preset or 'sweep'}.csv"
+    script_path = os.path.splitext(output_path)[0] + ".gp"
+    if script_path == output_path:
+        raise UsageError(f"output {output_path!r} is also the gnuplot script "
+                         "path; give the CSV another extension")
     blocks = _sorted_attacks(attack_list)
 
     # Rates are evaluated length by length, all blocks at once, and written
@@ -198,7 +202,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     with open(output_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")
-    script_path = os.path.splitext(output_path)[0] + ".gp"
     with open(script_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(_gnuplot_script(output_path, blocks, source))
 
@@ -280,7 +283,8 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 
 def cmd_reflectivity(args: argparse.Namespace) -> int:
-    with open(args.trace, encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheets write.
+    with open(args.trace, encoding="utf-8-sig") as handle:
         peaks = parse_trace(handle.read())
     d_min, d_max = args.region
     bound = reflectivity_bound(peaks, (d_min, d_max))

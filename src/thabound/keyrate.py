@@ -111,19 +111,23 @@ def _privacy_factor(obs: LinkObservables, attack: AttackModel) -> float | None:
     return (1.0 - conclusive) * (1.0 - binary_entropy(ratio))
 
 
-def rates_at(channel: ChannelParams, source: SourceModel,
-             attack_list: list[AttackModel] | tuple[AttackModel, ...],
-             length_km: float) -> list[float]:
-    """Secure key rates at one length, one per attack, in bits per pulse.
-
-    The link observables and the error-correction cost depend only on the
-    length, so they are evaluated at most once; only the privacy term is
-    taken per attack.  Each rate is never negative.
-    """
+def link_at(channel: ChannelParams, source: SourceModel,
+            length_km: float) -> LinkObservables:
+    """Link observables of the source at one length: the link step."""
     if source.kind == SINGLE_PHOTON:
-        obs = single_photon_link(channel, length_km)
-    else:
-        obs = decoy_link(channel, length_km, source.s)
+        return single_photon_link(channel, length_km)
+    return decoy_link(channel, length_km, source.s)
+
+
+def link_rates(obs: LinkObservables, f_ec: float,
+               attack_list: list[AttackModel] | tuple[AttackModel, ...]
+               ) -> list[float]:
+    """Secure key rates on one link, one per attack: the rate step.
+
+    The error-correction cost depends only on the link, so it is evaluated
+    at most once; only the privacy term is taken per attack.  Each rate is
+    never negative.
+    """
     if obs.q1 == 0.0 and obs.q_x == 0.0:
         return [0.0] * len(attack_list)
     ec_cost = None  # not needed while every bound is vacuous
@@ -134,9 +138,21 @@ def rates_at(channel: ChannelParams, source: SourceModel,
             rates.append(0.0)
             continue
         if ec_cost is None:
-            ec_cost = obs.q_x * channel.f_ec * binary_entropy(obs.e_x)
+            ec_cost = obs.q_x * f_ec * binary_entropy(obs.e_x)
         rates.append(max(0.0, obs.q1 * privacy - ec_cost))
     return rates
+
+
+def rates_at(channel: ChannelParams, source: SourceModel,
+             attack_list: list[AttackModel] | tuple[AttackModel, ...],
+             length_km: float) -> list[float]:
+    """Secure key rates at one length, one per attack, in bits per pulse.
+
+    The link step and then the rate step, so the link observables are
+    evaluated once for all attacks.
+    """
+    return link_rates(link_at(channel, source, length_km), channel.f_ec,
+                      attack_list)
 
 
 def key_rate(query: RateQuery) -> float:
@@ -217,14 +233,18 @@ def mu_out_threshold(channel: ChannelParams, source: SourceModel,
     """Largest mu_out with a positive rate at zero distance.
 
     Rates are monotone nonincreasing in distance, so the supremum over all
-    distances is attained at L = 0; the search therefore runs there.
+    distances is attained at L = 0; the search therefore runs there, with
+    the link observables evaluated once and only the rate step per mu.
     Bisection on [0, MU_BRACKET_HI] to relative tolerance MU_REL_TOL.
     """
     if attack_kind == attacks.NO_ATTACK:
         raise ValueError("threshold search needs an attack kind")
+    obs = link_at(channel, source, 0.0)
+    f_ec = channel.f_ec
 
     def rate_of(mu: float) -> float:
-        return rate_at(channel, source, AttackModel(attack_kind, mu), 0.0)
+        # AttackModel is the record that validates the kind and mu.
+        return link_rates(obs, f_ec, (AttackModel(attack_kind, mu),))[0]
 
     return _last_positive(rate_of, MU_BRACKET_HI, MU_REL_TOL, 1e-15,
                           "channel yields no key even without leakage")
@@ -237,8 +257,11 @@ def max_distance(channel: ChannelParams, source: SourceModel,
     Bisection on [0, LENGTH_BRACKET_KM]; raises NoPositiveRateError when
     there is no key even at zero distance.
     """
+    attack_list = (attack,)
+
     def rate_of(length: float) -> float:
-        return rate_at(channel, source, attack, length)
+        return link_rates(link_at(channel, source, length), channel.f_ec,
+                          attack_list)[0]
 
     return _last_positive(rate_of, LENGTH_BRACKET_KM, 0.0, LENGTH_TOL_KM,
                           "no key at zero distance")

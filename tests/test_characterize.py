@@ -73,6 +73,32 @@ class TestParseTrace:
         assert err.value.line_no == 2
         assert value in str(err.value)
 
+    @pytest.mark.parametrize("text", [
+        " 1.2 ,\t-46.0 , s ",
+        "1.2\x1f,\x1f-46.0\x1f,s",
+        "1.2,-46.0,s\r\n",
+        "   # spaced comment\r\n\r\n1.2,-46.0,s\r\n",
+    ], ids=["padded", "unit-separator", "crlf", "indented-comment"])
+    def test_accepted_forms(self, text):
+        assert parse_trace(text) == [ReflectionPeak(1.2, -46.0, SHORT_ARM)]
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.2,-46.0", "expected 3 fields, got 2"),
+        ("near,-46.0,x,extra", "expected 3 fields, got 4"),
+        ("near,-46.0,x", "distance and reflectivity must be numeric"),
+        ("1.2, -46 dB ,s", "distance and reflectivity must be numeric"),
+        ("-1.2,3.0, x ", "polarization tag must be 's' or 'l', got 'x'"),
+        ("1.2,-46.0,S", "polarization tag must be 's' or 'l', got 'S'"),
+        ("-1.2,3.0,s", "distance_m must be finite and >= 0, got -1.2"),
+        (" 1.2 , 3.0 ,l", "reflectivity_db must be finite and <= 0 dB, got 3.0"),
+    ])
+    def test_error_message_and_precedence(self, row, message):
+        # Field count, then numbers, then the tag, then the record's rules.
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(f"  # peaks\r\n\r\n0.5,-40.0,l\r\n{row}\r\n")
+        assert str(err.value) == f"line 4: {message}"
+        assert err.value.line_no == 4
+
     def test_fixture_file_order(self):
         peaks = parse_trace(FIXTURE.read_text())
         assert len(peaks) == 6

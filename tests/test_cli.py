@@ -108,6 +108,17 @@ class TestSweepCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_output_that_names_the_script_exits_one(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # fig3.gp would be both the CSV and its gnuplot script.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "rates_at", None)  # no rate is computed
+        assert main(["sweep", "--preset", "fig3", "--output", "fig3.gp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "output 'fig3.gp' is also the gnuplot script path" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_decoy_source_flag(self, tmp_path):
         out = tmp_path / "series.csv"
         code = main(["sweep", "--source", "decoy", "--decoy-s", "0.5",
@@ -327,6 +338,16 @@ class TestReflectivityCommand:
                      "--region", "0", "7"])
         assert code == 0
         assert capsys.readouterr().out.strip().endswith("-4000.00 dB")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # As a spreadsheet's "CSV UTF-8" export writes it.
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / "transmitter_peaks.csv").read_bytes())
+        outputs = []
+        for trace in (PEAKS, str(bom)):
+            assert main(["reflectivity", "--trace", trace, "--region", "0", "7"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
 
     def test_no_reflectors_message(self, capsys):
         code = main(["reflectivity", "--trace", PEAKS,

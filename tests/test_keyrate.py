@@ -31,6 +31,7 @@ from thabound.keyrate import (
     RateSeries,
     _last_positive,
     key_rate,
+    link_rates,
     max_distance,
     mu_out_threshold,
     rate_at,
@@ -255,6 +256,20 @@ class TestThresholdSearch:
         with pytest.raises(NoPositiveRateError):
             mu_out_threshold(DEAD_CHANNEL, SP, "general")
 
+    @pytest.mark.parametrize("kind", ["general", "passive", "usd"])
+    @pytest.mark.parametrize("source", [SP, DECOY], ids=["sp", "decoy"])
+    def test_link_is_evaluated_once_at_zero_length(self, monkeypatch, source,
+                                                   kind):
+        lengths = []
+        for name in ("single_photon_link", "decoy_link"):
+            def counting_link(channel, length_km, *rest, link=getattr(keyrate, name)):
+                lengths.append(length_km)
+                return link(channel, length_km, *rest)
+
+            monkeypatch.setattr(keyrate, name, counting_link)
+        mu_out_threshold(CHANNEL, source, kind)
+        assert lengths == [0.0]
+
 
 def _last_below(f, lo, hi, target):
     """Largest x in [lo, hi] with f(x) < target, for f increasing there.
@@ -372,12 +387,13 @@ class TestExactThreshold:
                                              source, kind):
         evaluated = []
 
-        def recording_rate_at(*args):
-            rate = rate_at(*args)
-            evaluated.append((args[2].mu_out, rate))
-            return rate
+        def recording_link_rates(obs, f_ec, attack_list):
+            rates = link_rates(obs, f_ec, attack_list)
+            evaluated.extend((attack.mu_out, rate)
+                             for attack, rate in zip(attack_list, rates))
+            return rates
 
-        monkeypatch.setattr(keyrate, "rate_at", recording_rate_at)
+        monkeypatch.setattr(keyrate, "link_rates", recording_link_rates)
         exact = exact_threshold(channel, source, kind)
         try:
             mu_out_threshold(channel, source, kind)
@@ -419,6 +435,18 @@ class TestMaxDistance:
     def test_leakage_above_threshold_raises(self):
         with pytest.raises(NoPositiveRateError):
             max_distance(CHANNEL, SP, AttackModel("general", 0.1))
+
+    def test_builds_no_rate_query(self, monkeypatch):
+        built = []
+
+        def counting_query(*args):
+            built.append(args)
+            return RateQuery(*args)
+
+        monkeypatch.setattr(keyrate, "RateQuery", counting_query)
+        reach = max_distance(CHANNEL, SP, AttackModel("general", 1e-6))
+        assert built == []
+        assert reach == 158.050537109375
 
     def test_rate_positive_just_inside(self):
         reach = max_distance(CHANNEL, SP, no_attack())
