@@ -27,6 +27,9 @@ MAX_ISOLATORS = 5
 ATTENUATOR_STEP_DB = 5.0
 # Deepest attenuator plan_budget considers by default, and the CLI's too.
 MAX_ATTENUATOR_DB = -35.0
+# Most candidate combinations one plan_budget call may enumerate; the stock
+# catalog with the default attenuator ladder gives 177.
+MAX_BUDGET_CANDIDATES = 10_000
 
 
 class LidtSpec(namedtuple("LidtSpec",
@@ -228,6 +231,8 @@ def plan_budget(gamma_target_db: float,
     allow_attenuator=False for those).  A combination is feasible when its
     isolation_total is at most gamma_target_db.  The all-zero "nothing
     needed" budget is always considered, so a nonnegative target yields it.
+    A catalog and ladder giving more than MAX_BUDGET_CANDIDATES candidates
+    raises ValueError before any is enumerated.
 
     Returns feasible budgets sorted by (isolator count, attenuation depth,
     isolator value, reflectivity, filter); empty list means infeasible.
@@ -239,6 +244,12 @@ def plan_budget(gamma_target_db: float,
     nonpositive_db("max_attenuator_db", max_attenuator_db)
     depth = max_attenuator_db if allow_attenuator else 0.0
     steps = int(math.floor(abs(depth) / ATTENUATOR_STEP_DB + 1e-9))
+    isolators, reflectivities, filters = (len(set(values)) for values in catalog)
+    if ((MAX_ISOLATORS * isolators + 1) * reflectivities * filters * (steps + 1)
+            + 1 > MAX_BUDGET_CANDIDATES):
+        raise ValueError("catalog gives more than MAX_BUDGET_CANDIDATES = "
+                         f"{MAX_BUDGET_CANDIDATES} budget candidates; give fewer "
+                         "distinct values or a shallower max_attenuator_db")
     attenuators = [0.0] + [-ATTENUATOR_STEP_DB * k for k in range(1, steps + 1)]
 
     # Tuples, not records: the catalog and the check above own every value.

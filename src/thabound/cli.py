@@ -12,6 +12,10 @@ Exit codes: 0 success, 1 usage or parse error, 2 infeasible or insecure
 result.  All output is deterministic for a fixed config: floats are written
 with repr (shortest round-trip form) in CSV cells and with fixed-width
 formats in text reports.
+
+Each cmd_* function returns (exit code, stdout lines, {path: file text})
+and writes nothing; main writes the files, then stdout.  So a command that
+raises has written no file and printed nothing.
 """
 
 import argparse
@@ -20,6 +24,7 @@ import os
 import random
 import re
 import sys
+from itertools import groupby
 
 from thabound import attacks as attacks_mod
 from thabound import budget as budget_mod
@@ -67,10 +72,6 @@ PRESETS = {
     "fig11": (SINGLE_PHOTON, None, attacks_mod.USD, _USD_MU),
     "fig12": (DECOY, 0.5, attacks_mod.USD, _USD_MU),
 }
-
-
-class UsageError(Exception):
-    """Bad command line; mapped to exit code 1."""
 
 
 def _parse_attack_spec(spec: str) -> AttackModel:
@@ -121,10 +122,10 @@ def _resolve_config(args: argparse.Namespace) -> tuple:
     s = args.decoy_s
     if kind == SINGLE_PHOTON:
         if s is not None:
-            raise UsageError("--decoy-s only applies to a decoy source")
+            raise ValueError("--decoy-s only applies to a decoy source")
     elif s is None:
         if source.kind != DECOY:
-            raise UsageError("--source decoy needs --decoy-s")
+            raise ValueError("--source decoy needs --decoy-s")
         s = source.s
     source = SourceModel(kind, s)
 
@@ -139,8 +140,8 @@ def _fmt(value: float) -> str:
 
 
 def _sorted_attacks(attack_list: tuple[AttackModel, ...]) -> list[AttackModel]:
-    """Attack blocks in output order; an empty list means baseline only."""
-    entries = list(attack_list) or [no_attack()]
+    """Distinct attack blocks in output order; none given means baseline only."""
+    entries = set(attack_list) or {no_attack()}
     return sorted(entries, key=lambda a: (a.kind, a.mu_out))
 
 
@@ -156,7 +157,7 @@ def _gnuplot_script(csv_path: str, blocks: list[AttackModel],
         'set xlabel "fiber length (km)"',
         'set ylabel "secret key rate (bits per pulse)"',
         "set logscale y",
-        "set yrange [1e-12:1]",
+        f"set yrange [{RATE_FLOOR:g}:1]",
         "set key top right",
         f'set title "{stem} ({source.label()})"',
         "plot \\",
@@ -176,12 +177,12 @@ def _gnuplot_script(csv_path: str, blocks: list[AttackModel],
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple:
     channel, source, attack_list = _resolve_config(args)
     output_path = args.output or f"{args.preset or 'sweep'}.csv"
     script_path = os.path.splitext(output_path)[0] + ".gp"
     if script_path == output_path:
-        raise UsageError(f"output {output_path!r} is also the gnuplot script "
+        raise ValueError(f"output {output_path!r} is also the gnuplot script "
                          "path; give the CSV another extension")
     blocks = _sorted_attacks(attack_list)
 
@@ -200,31 +201,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rate_cell = _fmt(rate) if rate >= RATE_FLOOR else "0"
             rows.append(f"{length_cell},{attack_cells},{rate_cell}")
 
-    with open(output_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(rows) + "\n")
-    with open(script_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_gnuplot_script(output_path, blocks, source))
-
-    print(f"wrote {output_path} ({len(rows) - 1} rows)")
-    print(f"wrote {script_path}")
-    return 0
+    files = {output_path: "\n".join(rows) + "\n",
+             script_path: _gnuplot_script(output_path, blocks, source)}
+    return 0, [f"wrote {output_path} ({len(rows) - 1} rows)",
+               f"wrote {script_path}"], files
 
 
-def cmd_threshold(args: argparse.Namespace) -> int:
+def cmd_threshold(args: argparse.Namespace) -> tuple:
     channel, source, attack_list = _resolve_config(args)
-    entries = _sorted_attacks(attack_list)
-    kinds = sorted({a.kind for a in entries})
-
     reports = []
-    for kind in kinds:
+    for kind, entries in groupby(_sorted_attacks(attack_list),
+                                 key=lambda a: a.kind):
         if kind == attacks_mod.NO_ATTACK:
             threshold = None
         else:
             threshold = mu_out_threshold(channel, source, kind)
         distances = {}
         for attack in entries:
-            if attack.kind != kind:
-                continue
             try:
                 km = max_distance(channel, source, attack)
             except NoPositiveRateError:
@@ -237,13 +230,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             "max_distance_at": distances,
         })
 
-    sys.stdout.write(json.dumps({"reports": reports}, indent=2) + "\n")
-    return 0
+    return 0, [json.dumps({"reports": reports}, indent=2)], {}
 
 
-def cmd_budget(args: argparse.Namespace) -> int:
-    # Planning runs before the first line is printed, so bad input exits 1
-    # with nothing on stdout.
+def cmd_budget(args: argparse.Namespace) -> tuple:
     gamma = budget_mod.required_isolation(args.mu_out, args.photon_flux,
                                           args.clock_hz)
     catalog = budget_mod.ComponentCatalog(**{
@@ -253,21 +243,22 @@ def cmd_budget(args: argparse.Namespace) -> int:
                                      max_attenuator_db=args.max_attenuator_db,
                                      allow_attenuator=not args.no_attenuator)
 
-    print(f"required isolation: {gamma:.6g} dB")
+    lines = [f"required isolation: {gamma:.6g} dB"]
     if not budgets:
-        print("no feasible component combination reaches the target")
-        return 2
+        lines.append("no feasible component combination reaches the target")
+        return 2, lines, {}
 
-    print(f"feasible combinations: {len(budgets)}")
-    print("  isolators      attenuator_db  reflectivity_db  filter_db  total_db")
+    lines.append(f"feasible combinations: {len(budgets)}")
+    lines.append("  isolators      attenuator_db  reflectivity_db  filter_db  total_db")
     for entry in budgets:
         total = budget_mod.isolation_total(entry)
         isolators = (f"{entry.isolator_count} x {entry.isolator_db:g}"
                      if entry.isolator_count else "0")
-        print(f"  {isolators:<13}  {entry.attenuator_db:>13g}  "
-              f"{entry.reflectivity_db:>15g}  {entry.filter_db:>9g}  "
-              f"{total:>8g}")
+        lines.append(f"  {isolators:<13}  {entry.attenuator_db:>13g}  "
+                     f"{entry.reflectivity_db:>15g}  {entry.filter_db:>9g}  "
+                     f"{total:>8g}")
 
+    files = {}
     if args.output:
         payload = {
             "required_isolation_db": gamma,
@@ -277,71 +268,64 @@ def cmd_budget(args: argparse.Namespace) -> int:
                 for entry in budgets
             ],
         }
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(json.dumps(payload, indent=2) + "\n")
-    return 0
+        files[args.output] = json.dumps(payload, indent=2) + "\n"
+    return 0, lines, files
 
 
-def cmd_reflectivity(args: argparse.Namespace) -> int:
+def cmd_reflectivity(args: argparse.Namespace) -> tuple:
     # utf-8-sig drops the byte-order mark that spreadsheets write.
     with open(args.trace, encoding="utf-8-sig") as handle:
         peaks = parse_trace(handle.read())
     d_min, d_max = args.region
     bound = reflectivity_bound(peaks, (d_min, d_max))
-    print("  distance_m  reflectivity_db  polarization  in_region")
+    lines = ["  distance_m  reflectivity_db  polarization  in_region"]
     for peak in peaks:
         in_region = "yes" if d_min <= peak.distance_m <= d_max else "no"
-        print(f"  {peak.distance_m:>10g}  {peak.reflectivity_db:>15g}  "
-              f"{peak.polarization:<12}  {in_region}")
+        lines.append(f"  {peak.distance_m:>10g}  {peak.reflectivity_db:>15g}  "
+                     f"{peak.polarization:<12}  {in_region}")
     if bound is None:
-        print(f"no reflectors in region {d_min:g} m to {d_max:g} m")
+        lines.append(f"no reflectors in region {d_min:g} m to {d_max:g} m")
     else:
-        print(f"reflectivity bound ({d_min:g} m to {d_max:g} m): {bound:.2f} dB")
-    return 0
+        lines.append(f"reflectivity bound ({d_min:g} m to {d_max:g} m): "
+                     f"{bound:.2f} dB")
+    return 0, lines, {}
 
 
 def _lidt_base_spec(args: argparse.Namespace) -> budget_mod.LidtSpec:
     if args.preset is not None:
         if args.wavelength_m is not None:
-            raise UsageError("--lambda only applies to --power")
+            raise ValueError("--lambda only applies to --power")
         if args.preset == "conservative":
             return budget_mod.conservative_preset(args.bend_edge_compensation)
         return budget_mod.fiber_fuse_preset(args.bend_edge_compensation)
     if args.bend_edge_compensation:
-        raise UsageError("--bend-edge-compensation only applies to a --preset")
+        raise ValueError("--bend-edge-compensation only applies to a --preset")
     if args.wavelength_m is None:
-        raise UsageError("--power needs --lambda (wavelength in meters)")
+        raise ValueError("--power needs --lambda (wavelength in meters)")
     flux = budget_mod.photon_flux_from_power(args.power, args.wavelength_m)
     # A raw power rating is treated as continuous exposure.
     return budget_mod.LidtSpec(photon_flux=flux, pulse_width_ref_s=1.0,
                                wavelength_ref_m=args.wavelength_m)
 
 
-def cmd_lidt(args: argparse.Namespace) -> int:
-    base = _lidt_base_spec(args)
-    # Every rescaling runs before the first line is printed, so a bad
-    # --pulse-width or --wavelength exits 1 with nothing on stdout.
-    spec = base
-    rescaled = []
+def cmd_lidt(args: argparse.Namespace) -> tuple:
+    spec = _lidt_base_spec(args)
+    if args.preset is not None:
+        lines = [f"preset: {args.preset}"]
+    else:
+        lines = [f"input power: {args.power:.4e} W at {args.wavelength_m:.4e} m"]
+    lines += [f"photon flux: {spec.photon_flux:.4e} photons/s",
+              f"reference pulse width: {spec.pulse_width_ref_s:.4e} s",
+              f"reference wavelength: {spec.wavelength_ref_m:.4e} m"]
     if args.pulse_width is not None:
         spec = budget_mod.lidt_scale_pulse_width(spec, args.pulse_width)
-        rescaled.append(f"flux at pulse width {args.pulse_width:.4e} s: "
-                        f"{spec.photon_flux:.4e} photons/s")
+        lines.append(f"flux at pulse width {args.pulse_width:.4e} s: "
+                     f"{spec.photon_flux:.4e} photons/s")
     if args.wavelength is not None:
         spec = budget_mod.lidt_scale_wavelength(spec, args.wavelength)
-        rescaled.append(f"flux at wavelength {args.wavelength:.4e} m: "
-                        f"{spec.photon_flux:.4e} photons/s")
-
-    if args.preset is not None:
-        print(f"preset: {args.preset}")
-    else:
-        print(f"input power: {args.power:.4e} W at {args.wavelength_m:.4e} m")
-    print(f"photon flux: {base.photon_flux:.4e} photons/s")
-    print(f"reference pulse width: {base.pulse_width_ref_s:.4e} s")
-    print(f"reference wavelength: {base.wavelength_ref_m:.4e} m")
-    for line in rescaled:
-        print(line)
-    return 0
+        lines.append(f"flux at wavelength {args.wavelength:.4e} m: "
+                     f"{spec.photon_flux:.4e} photons/s")
+    return 0, lines, {}
 
 
 CONVEXITY_LENGTHS_KM = (0.0, 50.0, 100.0)
@@ -349,14 +333,15 @@ CONVEXITY_LENGTHS_KM = (0.0, 50.0, 100.0)
 MAX_CONVEXITY_PAIRS = 10_000
 
 
-def cmd_convexity(args: argparse.Namespace) -> int:
+def cmd_convexity(args: argparse.Namespace) -> tuple:
     if not 1 <= args.pairs <= MAX_CONVEXITY_PAIRS:
-        raise UsageError(f"--pairs must be between 1 and {MAX_CONVEXITY_PAIRS}, "
+        raise ValueError(f"--pairs must be between 1 and {MAX_CONVEXITY_PAIRS}, "
                          f"got {args.pairs}")
     positive("mu_max", args.mu_max)
     rng = random.Random(args.seed)
     sources = (single_photon(), decoy_state(0.5))
     kinds = (attacks_mod.GENERAL, attacks_mod.PASSIVE, attacks_mod.USD)
+    lines = []
     total = 0
     violations = 0
     for kind in kinds:
@@ -369,11 +354,12 @@ def cmd_convexity(args: argparse.Namespace) -> int:
                 if not verify_convexity(PRESET_CHANNEL, source, kind,
                                         length, mu1, mu2):
                     bad += 1
-            print(f"{kind}/{source.label()}: {args.pairs} pairs, {bad} violations")
+            lines.append(f"{kind}/{source.label()}: {args.pairs} pairs, "
+                         f"{bad} violations")
             total += args.pairs
             violations += bad
-    print(f"checked {total} pairs, {violations} violations")
-    return 0 if violations == 0 else 2
+    lines.append(f"checked {total} pairs, {violations} violations")
+    return (0 if violations == 0 else 2), lines, {}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,7 +370,7 @@ class _Parser(argparse.ArgumentParser):
             r"(?i)-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-(inf|infinity|nan)$")
 
     def error(self, message: str) -> None:
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,7 +452,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        code, lines, files = args.func(args)
+        for path, text in files.items():
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
         # Flushed here, so a closed pipe is caught below and not at exit.
         sys.stdout.flush()
         return code
@@ -480,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         # cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (UsageError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from thabound import budget as budget_mod
 from thabound.budget import (
     ComponentCatalog,
     IsolationBudget,
@@ -269,6 +270,27 @@ class TestPlanBudget:
                             lambda self: built.append(check(self)))
         budgets = plan_budget(-170.0)
         assert len(built) == len(budgets) == 126
+
+    def test_candidate_cap_is_inclusive(self, monkeypatch):
+        # The stock catalog and the default ladder give 177 candidates.
+        monkeypatch.setattr(budget_mod, "MAX_BUDGET_CANDIDATES", 177)
+        assert plan_budget(-170.0)
+        monkeypatch.setattr(budget_mod, "MAX_BUDGET_CANDIDATES", 176)
+        with pytest.raises(ValueError, match="MAX_BUDGET_CANDIDATES = 176"):
+            plan_budget(-170.0)
+
+    def test_repeated_values_count_once_toward_the_cap(self, monkeypatch):
+        monkeypatch.setattr(budget_mod, "MAX_BUDGET_CANDIDATES", 177)
+        repeated = ComponentCatalog((-50.0, -60.0) * 50, (-40.0, -50.0) * 50,
+                                    (0.0,) * 50)
+        assert plan_budget(-170.0, repeated) == plan_budget(-170.0)
+
+    def test_deep_attenuator_ladder_rejected_before_enumerating(self,
+                                                               monkeypatch):
+        # 2,001 attenuator settings give 44,023 candidates.
+        monkeypatch.setattr(budget_mod, "isolation_total", None)
+        with pytest.raises(ValueError, match="MAX_BUDGET_CANDIDATES"):
+            plan_budget(-170.0, max_attenuator_db=-1e4)
 
     def test_positive_attenuator_limit_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -57,12 +58,15 @@ class TestSweepCommand:
         assert block_order == [("general", 1e-6), ("general", 1e-2),
                                ("none", 0.0)]
 
-    def test_duplicate_attacks_duplicate_blocks(self, tmp_path):
+    def test_duplicate_attacks_give_one_block(self, tmp_path):
+        script = tmp_path / "series.gp"
+        _, out = self.run(tmp_path, "--attack", "general:1e-4")
+        single = out.read_bytes(), script.read_bytes()
         code, out = self.run(tmp_path, "--attack", "general:1e-4",
                              "--attack", "general:1e-4")
-        rows = read_sweep_csv(str(out))
-        assert len(rows) == 12
-        assert rows[:6] == rows[6:]
+        assert code == 0
+        assert (out.read_bytes(), script.read_bytes()) == single
+        assert len(read_sweep_csv(str(out))) == 6
 
     def test_rates_below_floor_written_as_zero(self, tmp_path):
         out = tmp_path / "series.csv"
@@ -102,12 +106,6 @@ class TestSweepCommand:
         assert mus == [1e-3, 1e-2, 3e-2]
         assert len(rows) == 4 * 201
 
-    def test_unwritable_output_fails_cleanly(self, tmp_path, capsys):
-        code = main(["sweep", "--output",
-                     str(tmp_path / "nodir" / "x.csv")])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-
     def test_output_that_names_the_script_exits_one(self, tmp_path,
                                                     monkeypatch, capsys):
         # fig3.gp would be both the CSV and its gnuplot script.
@@ -118,6 +116,13 @@ class TestSweepCommand:
         assert captured.out == ""
         assert "output 'fig3.gp' is also the gnuplot script path" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    def test_default_grid_ends_at_200_km(self, tmp_path):
+        out = tmp_path / "series.csv"
+        assert main(["sweep", "--l-min", "199", "--step", "0.1",
+                     "--output", str(out)]) == 0
+        lengths = [row.length_km for row in read_sweep_csv(str(out))]
+        assert len(lengths) == 11 and lengths[-1] == 200.0
 
     def test_decoy_source_flag(self, tmp_path):
         out = tmp_path / "series.csv"
@@ -140,6 +145,8 @@ class TestSweepCommand:
             assert main(argv) == 0
             last = (tmp_path / "out.csv").read_text().splitlines()[-1]
             assert last == f"10.0,0.0001,general,single_photon,{cell}"
+            # The plot's lower y limit is the same floor.
+            assert f"set yrange [{floor:g}:1]" in (tmp_path / "out.gp").read_text()
 
 
 class TestThresholdCommand:
@@ -168,6 +175,18 @@ class TestThresholdCommand:
         report = payload["reports"][0]
         assert report["attack_kind"] == "none"
         assert report["mu_out_threshold"] is None
+
+    def test_duplicate_attacks_searched_once(self, monkeypatch, capsys):
+        assert main(["threshold", "--attack", "general:1e-6"]) == 0
+        single = capsys.readouterr().out
+        calls = []
+        search = cli.max_distance
+        monkeypatch.setattr(cli, "max_distance",
+                            lambda *args: calls.append(args) or search(*args))
+        assert main(["threshold", "--attack", "general:1e-6",
+                     "--attack", "general:1e-6"]) == 0
+        assert capsys.readouterr().out == single
+        assert len(calls) == 1
 
     def test_insecure_channel_exits_two(self, capsys):
         code = main(["threshold", "--attack", "general:1e-6",
@@ -313,6 +332,17 @@ class TestBudgetCommand:
         assert self._written_budgets(tmp_path, "--max-attenuator-db", "-30") == (
             budget_mod.plan_budget(gamma, max_attenuator_db=-30.0))
 
+    def test_candidate_cap_exits_one_before_enumerating(self, monkeypatch,
+                                                        capsys):
+        # 7 distinct values per catalog flag give 14,113 candidates.
+        monkeypatch.setattr(budget_mod, "isolation_total", None)
+        flags = [f"--{name}-db=-{value}" for value in range(41, 48)
+                 for name in ("isolator", "reflectivity", "filter")]
+        assert main([*BUDGET, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MAX_BUDGET_CANDIDATES = 10000" in captured.err
+
     def test_positive_attenuator_depth_exits_one_without_output(self, capsys):
         # A repeated flag overrides the BUDGET value given before it.
         assert main([*BUDGET, "--max-attenuator-db", "30"]) == 1
@@ -355,6 +385,15 @@ class TestReflectivityCommand:
         assert code == 0
         assert "no reflectors" in capsys.readouterr().out
 
+    def test_region_ends_are_inside(self, capsys):
+        # The table marks the peaks that the bound sums, ends included.
+        assert main(["reflectivity", "--trace", PEAKS,
+                     "--region", "2.1", "5.2"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:-1]]
+        assert [(row[0], row[3]) for row in rows] == [
+            ("0.8", "no"), ("2.1", "yes"), ("3.7", "yes"), ("5.2", "yes"),
+            ("9.6", "no"), ("12.3", "no")]
+
     def test_parse_error_exits_one_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.2,-46.0,x\n")
@@ -389,9 +428,17 @@ class TestLidtCommand:
         assert "photon flux: 9.9877e+19 photons/s" in out
 
     def test_two_watt_conversion(self, capsys):
-        code = main(["lidt", "--power", "2", "--lambda", "1550e-9"])
+        # A raw power rating is continuous exposure: reference width 1 s.
+        code = main(["lidt", "--power", "2", "--lambda", "1550e-9",
+                     "--pulse-width", "1e-4"])
         assert code == 0
-        assert "1.5606e+19" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            "input power: 2.0000e+00 W at 1.5500e-06 m",
+            "photon flux: 1.5606e+19 photons/s",
+            "reference pulse width: 1.0000e+00 s",
+            "reference wavelength: 1.5500e-06 m",
+            "flux at pulse width 1.0000e-04 s: 1.5606e+17 photons/s",
+        ]
 
     def test_pulse_width_noop_scaling(self, capsys):
         code = main(["lidt", "--preset", "conservative",
@@ -438,8 +485,24 @@ class TestConvexityCommand:
     def test_small_run_passes(self, capsys):
         code = main(["convexity", "--pairs", "20", "--seed", "7"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "checked 120 pairs, 0 violations" in out
+        assert capsys.readouterr().out.splitlines() == [
+            f"{kind}/{source}: 20 pairs, 0 violations"
+            for kind in ("general", "passive", "usd")
+            for source in ("single_photon", "decoy:0.5")
+        ] + ["checked 120 pairs, 0 violations"]
+
+    def test_pairs_drawn_from_the_seed(self, monkeypatch, capsys):
+        # Each pair is two draws on [0, mu_max) from random.Random(seed),
+        # checked at 0, 50 and 100 km in turn; mu_max defaults to 0.6.
+        calls = []
+        monkeypatch.setattr(
+            cli, "verify_convexity",
+            lambda channel, source, kind, length, mu1, mu2:
+                calls.append((length, mu1, mu2)) or True)
+        assert main(["convexity", "--pairs", "4", "--seed", "3"]) == 0
+        rng = random.Random(3)
+        assert calls == [(length, rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.6))
+                         for _ in range(6) for length in (0.0, 50.0, 100.0, 0.0)]
 
     def test_deterministic_output(self, capsys):
         main(["convexity", "--pairs", "10"])
@@ -503,6 +566,20 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --config x.json" in captured.err
+
+
+class TestWriteContract:
+    """A command that exits 1 has written no file and printed nothing."""
+
+    @pytest.mark.parametrize("argv", [["sweep", "--l-max", "2"], BUDGET],
+                             ids=["sweep", "budget"])
+    def test_output_into_missing_directory(self, tmp_path, capsys, argv):
+        assert main([*argv, "--output", str(tmp_path / "missing" / "out.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "No such file or directory" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestClosedStdout:
