@@ -17,7 +17,7 @@ as validated: mu_out by ``AttackModel``, a positive yield by ``link_rates``.
 import math
 from collections import namedtuple
 
-from thabound.numerics import nonnegative, validated_make
+from thabound.numerics import Record, nonnegative
 
 NO_ATTACK = "none"
 GENERAL = "general"
@@ -26,7 +26,7 @@ USD = "usd"
 ATTACK_KINDS = (NO_ATTACK, GENERAL, PASSIVE, USD)
 
 
-class AttackModel(namedtuple("AttackModel", "kind mu_out")):
+class AttackModel(Record, namedtuple("AttackModel", "kind mu_out")):
     """An attack kind plus the leakage mu_out it is evaluated at.
 
     Kind ``none`` requires mu_out == 0.  The attack kinds accept any
@@ -39,8 +39,6 @@ class AttackModel(namedtuple("AttackModel", "kind mu_out")):
         self = tuple.__new__(cls, (kind, mu_out))
         self.__post_init__()
         return self
-
-    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:

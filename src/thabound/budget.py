@@ -12,11 +12,11 @@ import math
 from collections import namedtuple
 
 from thabound.numerics import (
+    Record,
     db_from_linear,
     linear_from_db,
     nonpositive_db,
     positive,
-    validated_make,
 )
 
 # Exact SI defined values.
@@ -32,8 +32,8 @@ MAX_ATTENUATOR_DB = -35.0
 MAX_BUDGET_CANDIDATES = 10_000
 
 
-class LidtSpec(namedtuple("LidtSpec",
-                          "photon_flux pulse_width_ref_s wavelength_ref_m")):
+class LidtSpec(Record, namedtuple(
+        "LidtSpec", "photon_flux pulse_width_ref_s wavelength_ref_m")):
     """A laser damage threshold expressed as photon flux.
 
     photon_flux: photons per second onto the 50 um^2 reference core area.
@@ -49,8 +49,6 @@ class LidtSpec(namedtuple("LidtSpec",
         self = tuple.__new__(cls, (photon_flux, pulse_width_ref_s, wavelength_ref_m))
         self.__post_init__()
         return self
-
-    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         positive("photon_flux", self.photon_flux)
@@ -121,9 +119,9 @@ def photon_flux_from_power(power_w: float, wavelength_m: float) -> float:
     return power_w * wavelength_m / (PLANCK_H_JS * SPEED_OF_LIGHT_M_S)
 
 
-class IsolationBudget(namedtuple("IsolationBudget",
-                                 "filter_db isolator_db isolator_count "
-                                 "attenuator_db reflectivity_db")):
+class IsolationBudget(Record, namedtuple(
+        "IsolationBudget", "filter_db isolator_db isolator_count "
+        "attenuator_db reflectivity_db")):
     """Per-component round-trip attenuations, in nonpositive dB.
 
     filter_db and attenuator_db are traversed twice (in and out), the n
@@ -139,8 +137,6 @@ class IsolationBudget(namedtuple("IsolationBudget",
                                    attenuator_db, reflectivity_db))
         self.__post_init__()
         return self
-
-    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         nonpositive_db("filter_db", self.filter_db)
@@ -189,9 +185,9 @@ def required_isolation(mu_out_target: float, n_photons: float,
             + db_from_linear(f_a_hz))
 
 
-class ComponentCatalog(namedtuple("ComponentCatalog",
-                                  "isolator_db_values reflectivity_db_values "
-                                  "filter_db_values")):
+class ComponentCatalog(Record, namedtuple(
+        "ComponentCatalog", "isolator_db_values reflectivity_db_values "
+        "filter_db_values")):
     """Available component values for budget planning, in nonpositive dB.
 
     Defaults are the common stock values: dual-stage isolators at 50 or
@@ -207,8 +203,6 @@ class ComponentCatalog(namedtuple("ComponentCatalog",
                                    filter_db_values))
         self.__post_init__()
         return self
-
-    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         for name, values in zip(self._fields, self):

@@ -10,14 +10,14 @@ equal the true ones.
 import math
 from collections import namedtuple
 
-from thabound.numerics import nonnegative, positive, probability, validated_make
+from thabound.numerics import Record, nonnegative, positive, probability
 
 SINGLE_PHOTON = "single_photon"
 DECOY = "decoy"
 
 
-class ChannelParams(namedtuple("ChannelParams",
-                               "alpha_db_per_km eta_det e_opt p_dark f_ec")):
+class ChannelParams(Record, namedtuple(
+        "ChannelParams", "alpha_db_per_km eta_det e_opt p_dark f_ec")):
     """Constants of the link and receiver.
 
     alpha_db_per_km: fiber loss coefficient.
@@ -34,8 +34,6 @@ class ChannelParams(namedtuple("ChannelParams",
         self.__post_init__()
         return self
 
-    _make = classmethod(validated_make)
-
     def __post_init__(self) -> None:
         nonnegative("alpha_db_per_km", self.alpha_db_per_km)
         probability("eta_det", self.eta_det)
@@ -49,7 +47,7 @@ class ChannelParams(namedtuple("ChannelParams",
             raise ValueError(f"f_ec must be finite and >= 1, got {self.f_ec!r}")
 
 
-class SourceModel(namedtuple("SourceModel", "kind s")):
+class SourceModel(Record, namedtuple("SourceModel", "kind s")):
     """Photon source: ``single_photon`` or ``decoy`` with signal intensity s."""
 
     __slots__ = ()
@@ -58,8 +56,6 @@ class SourceModel(namedtuple("SourceModel", "kind s")):
         self = tuple.__new__(cls, (kind, s))
         self.__post_init__()
         return self
-
-    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         if self.kind == SINGLE_PHOTON:
@@ -86,7 +82,7 @@ def decoy_state(s: float) -> SourceModel:
     return SourceModel(DECOY, s)
 
 
-class LinkObservables(namedtuple("LinkObservables", "q_x e_x y1 e1 q1")):
+class LinkObservables(Record, namedtuple("LinkObservables", "q_x e_x y1 e1 q1")):
     """Per-pulse quantities at one fiber length.
 
     q_x: detection rate in the key basis.
@@ -103,8 +99,6 @@ class LinkObservables(namedtuple("LinkObservables", "q_x e_x y1 e1 q1")):
         self = tuple.__new__(cls, (q_x, e_x, y1, e1, q1))
         self.__post_init__()
         return self
-
-    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         for value in self:

@@ -8,12 +8,7 @@ the isolation budget.
 import math
 from collections import namedtuple
 
-from thabound.numerics import (
-    db_from_linear,
-    nonnegative,
-    nonpositive_db,
-    validated_make,
-)
+from thabound.numerics import Record, db_from_linear, nonnegative, nonpositive_db
 
 SHORT_ARM = "short_arm"
 LONG_ARM = "long_arm"
@@ -21,16 +16,8 @@ LONG_ARM = "long_arm"
 _POLARIZATION_TAGS = {"s": SHORT_ARM, "l": LONG_ARM}
 
 
-class TraceParseError(ValueError):
-    """A malformed row in a measurement CSV, located by line number."""
-
-    def __init__(self, line_no: int, message: str) -> None:
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
-
-
-class ReflectionPeak(namedtuple("ReflectionPeak",
-                                "distance_m reflectivity_db polarization")):
+class ReflectionPeak(Record, namedtuple(
+        "ReflectionPeak", "distance_m reflectivity_db polarization")):
     """One reflection located along the transmitter's internal path.
 
     distance_m is measured from the fiber entry; polarization records which
@@ -43,8 +30,6 @@ class ReflectionPeak(namedtuple("ReflectionPeak",
         self = tuple.__new__(cls, (distance_m, reflectivity_db, polarization))
         self.__post_init__()
         return self
-
-    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         nonnegative("distance_m", self.distance_m)
@@ -59,7 +44,8 @@ def parse_trace(text: str) -> list[ReflectionPeak]:
     Takes the file's text; blank lines and '#' comments are skipped, and
     line numbers in errors count every physical line, as an editor would.
     Polarization tags are 's' (short arm) and 'l' (long arm).  Returns the
-    peaks in file order.
+    peaks in file order; a malformed row raises ValueError starting with
+    ``line N:``.
     """
     peaks = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -68,7 +54,7 @@ def parse_trace(text: str) -> list[ReflectionPeak]:
             continue
         fields = line.split(",")
         if len(fields) != 3:
-            raise TraceParseError(line_no, f"expected 3 fields, got {len(fields)}")
+            raise ValueError(f"line {line_no}: expected 3 fields, got {len(fields)}")
         # float ignores the same surrounding whitespace as str.strip, except
         # U+001F (unit separator), which the stripped retry accepts.
         try:
@@ -79,16 +65,18 @@ def parse_trace(text: str) -> list[ReflectionPeak]:
                 distance = float(fields[0].strip())
                 reflectivity = float(fields[1].strip())
             except ValueError:
-                raise TraceParseError(
-                    line_no, "distance and reflectivity must be numeric") from None
+                raise ValueError(f"line {line_no}: distance and reflectivity "
+                                 "must be numeric") from None
         tag = fields[2].strip()
         arm = _POLARIZATION_TAGS.get(tag)
         if arm is None:
-            raise TraceParseError(line_no, f"polarization tag must be 's' or 'l', got {tag!r}")
+            raise ValueError(f"line {line_no}: polarization tag must be 's' or "
+                             f"'l', got {tag!r}")
         try:
-            peak = ReflectionPeak(distance, reflectivity, arm)
+            # Adding 0.0 turns a -0 cell into 0.0, so no output shows -0.
+            peak = ReflectionPeak(distance + 0.0, reflectivity + 0.0, arm)
         except ValueError as exc:
-            raise TraceParseError(line_no, str(exc)) from None
+            raise ValueError(f"line {line_no}: {exc}") from None
         peaks.append(peak)
     return peaks
 

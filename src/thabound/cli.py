@@ -74,11 +74,16 @@ PRESETS = {
 }
 
 
+def _float(text: str) -> float:
+    """float(text), with -0 read as 0.0 so that no output shows -0."""
+    return float(text) + 0.0
+
+
 def _parse_attack_spec(spec: str) -> AttackModel:
     """Parse an --attack value: 'none', or 'kind:mu' like 'general:1e-6'."""
     kind, _, mu_text = spec.partition(":")
     try:
-        return AttackModel(kind, float(mu_text) if mu_text else 0.0)
+        return AttackModel(kind, _float(mu_text) if mu_text else 0.0)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -368,6 +373,9 @@ class _Parser(argparse.ArgumentParser):
         # argparse reads -50 as a value but -5e1, -inf and -nan as options.
         self._negative_number_matcher = re.compile(
             r"(?i)-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-(inf|infinity|nan)$")
+        # Every type=float flag converts through _float; action.type stays
+        # float, so argparse still reports "invalid float value".
+        self.register("type", float, _float)
 
     def error(self, message: str) -> None:
         raise ValueError(message)

@@ -26,7 +26,7 @@ from thabound.channel import (
     decoy_link,
     single_photon_link,
 )
-from thabound.numerics import binary_entropy, nonnegative, positive, validated_make
+from thabound.numerics import Record, binary_entropy, nonnegative, positive
 
 # Rates below this are reported as zero (and flagged insecure); they are
 # beyond physical relevance and keep log-scale plots finite.
@@ -53,15 +53,13 @@ class NoPositiveRateError(ValueError):
     """A search precondition failed: no key even at the easy bracket end."""
 
 
-class RateQuery(namedtuple("RateQuery", "channel source attack length_km")):
+class RateQuery(Record, namedtuple("RateQuery", "channel source attack length_km")):
     __slots__ = ()
 
     def __new__(cls, channel, source, attack, length_km):
         self = tuple.__new__(cls, (channel, source, attack, length_km))
         self.__post_init__()
         return self
-
-    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         nonnegative("length_km", self.length_km)
@@ -70,15 +68,13 @@ class RateQuery(namedtuple("RateQuery", "channel source attack length_km")):
 RatePoint = namedtuple("RatePoint", "length_km rate secure")
 
 
-class RateSeries(namedtuple("RateSeries", "points")):
+class RateSeries(Record, namedtuple("RateSeries", "points")):
     __slots__ = ()
 
     def __new__(cls, points):
         self = tuple.__new__(cls, (points,))
         self.__post_init__()
         return self
-
-    _make = classmethod(validated_make)
 
     def __post_init__(self) -> None:
         for prev, cur in zip(self.points, self.points[1:]):
@@ -163,8 +159,8 @@ def key_rate(query: RateQuery) -> float:
 
 def rate_at(channel: ChannelParams, source: SourceModel, attack: AttackModel,
             length_km: float) -> float:
-    """Convenience wrapper building the RateQuery in place."""
-    return key_rate(RateQuery(channel, source, attack, length_km))
+    """Secure key rate of one attack at one length, in bits per pulse."""
+    return rates_at(channel, source, (attack,), length_km)[0]
 
 
 def sweep_lengths(l_min: float, l_max: float, step: float) -> list[float]:
@@ -260,8 +256,7 @@ def max_distance(channel: ChannelParams, source: SourceModel,
     attack_list = (attack,)
 
     def rate_of(length: float) -> float:
-        return link_rates(link_at(channel, source, length), channel.f_ec,
-                          attack_list)[0]
+        return rates_at(channel, source, attack_list, length)[0]
 
     return _last_positive(rate_of, LENGTH_BRACKET_KM, 0.0, LENGTH_TOL_KM,
                           "no key at zero distance")

@@ -1,8 +1,8 @@
 """Scalar primitives shared by every other module.
 
 Binary entropy, decibel conversions, the four range checks that the
-records and entry points validate scalar inputs with, and the validating
-``_make`` of the package's record types.
+records and entry points validate scalar inputs with, and ``Record``, the
+base of the package's validating record types.
 """
 
 import math
@@ -37,13 +37,20 @@ def nonpositive_db(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and <= 0 dB, got {value!r}")
 
 
-def validated_make(cls, iterable):
-    """``_make`` for a validating named tuple: build through ``cls.__new__``.
+class Record:
+    """Base of the validating records: ``class X(Record, namedtuple(...))``.
 
-    The stock ``_make``, which ``_replace`` also uses, skips ``__new__`` and
-    so would return records that were never validated.
+    Each record has ``__slots__ = ()`` and a ``__new__`` that builds the
+    tuple and calls its ``__post_init__``.  The stock ``_make``, which
+    ``_replace`` also uses, skips ``__new__`` and so would return records
+    that were never validated; this one builds through ``cls``.
     """
-    return cls(*iterable)
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def binary_entropy(p: float) -> float:

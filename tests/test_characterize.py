@@ -7,7 +7,6 @@ from thabound.characterize import (
     LONG_ARM,
     ReflectionPeak,
     SHORT_ARM,
-    TraceParseError,
     parse_trace,
     reflectivity_bound,
 )
@@ -32,33 +31,30 @@ class TestParseTrace:
         assert peaks[1].polarization == LONG_ARM
 
     def test_bad_polarization_tag_reports_line(self):
-        with pytest.raises(TraceParseError) as err:
+        with pytest.raises(ValueError, match=r"^line 1: "):
             parse_trace("1.2,-46.0,x")
-        assert err.value.line_no == 1
-        assert str(err.value).startswith("line 1:")
 
     def test_line_numbers_count_skipped_lines(self):
         text = "# one\n\n3.0,-40.0,s\n4.0,-41.0,q\n"
-        with pytest.raises(TraceParseError) as err:
+        with pytest.raises(ValueError, match=r"^line 4: "):
             parse_trace(text)
-        assert err.value.line_no == 4
 
     def test_positive_reflectivity_rejected(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(ValueError, match=r"^line 1: "):
             parse_trace("1.2,3.0,s")
 
     def test_wrong_field_count(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(ValueError, match=r"^line 1: "):
             parse_trace("1.2,-46.0")
-        with pytest.raises(TraceParseError):
+        with pytest.raises(ValueError, match=r"^line 1: "):
             parse_trace("1.2,-46.0,s,extra")
 
     def test_non_numeric_fields(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(ValueError, match=r"^line 1: "):
             parse_trace("near,-46.0,s")
 
     def test_negative_distance_rejected(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(ValueError, match=r"^line 1: "):
             parse_trace("-1.2,-46.0,s")
 
     @pytest.mark.parametrize("row, value", [
@@ -68,9 +64,8 @@ class TestParseTrace:
         ("1,nan,l", "reflectivity"),
     ])
     def test_non_finite_values_report_line(self, row, value):
-        with pytest.raises(TraceParseError) as err:
+        with pytest.raises(ValueError, match=r"^line 2: ") as err:
             parse_trace(f"# peaks\n{row}\n")
-        assert err.value.line_no == 2
         assert value in str(err.value)
 
     @pytest.mark.parametrize("text", [
@@ -94,10 +89,16 @@ class TestParseTrace:
     ])
     def test_error_message_and_precedence(self, row, message):
         # Field count, then numbers, then the tag, then the record's rules.
-        with pytest.raises(TraceParseError) as err:
+        with pytest.raises(ValueError) as err:
             parse_trace(f"  # peaks\r\n\r\n0.5,-40.0,l\r\n{row}\r\n")
         assert str(err.value) == f"line 4: {message}"
-        assert err.value.line_no == 4
+
+    def test_negative_zero_cells_read_as_zero(self):
+        peaks = parse_trace("-0,-50,l\n3,-0.0,s\n")
+        assert peaks == [ReflectionPeak(0.0, -50.0, LONG_ARM),
+                         ReflectionPeak(3.0, 0.0, SHORT_ARM)]
+        assert math.copysign(1.0, peaks[0].distance_m) == 1.0
+        assert math.copysign(1.0, peaks[1].reflectivity_db) == 1.0
 
     def test_fixture_file_order(self):
         peaks = parse_trace(FIXTURE.read_text())

@@ -582,6 +582,40 @@ class TestWriteContract:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestNegativeZero:
+    """A -0 input is read as 0.0, so no output shows -0."""
+
+    def test_threshold_attack_key(self, capsys):
+        assert main(["threshold", "--attack", "general:-0"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert list(report["max_distance_at"]) == ["0.0"]
+
+    def test_sweep_cells_and_plot_clause(self, tmp_path):
+        out = tmp_path / "neg.csv"
+        assert main(["sweep", "--attack", "passive:-0", "--l-max", "2",
+                     "--output", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0.0"] * 3
+        assert 'strcol(2) eq "0.0"' in (tmp_path / "neg.gp").read_text()
+
+    def test_budget_filter_column(self, capsys):
+        assert main([*BUDGET, "--filter-db", "-0"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert rows and all(row.split()[-2] == "0" for row in rows)
+
+    def test_trace_distance(self, tmp_path, capsys):
+        trace = tmp_path / "neg.csv"
+        trace.write_text("-0,-50,l\n")
+        assert main(["reflectivity", "--trace", str(trace),
+                     "--region", "0", "7"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[0] == "0"
+
+    def test_reflectivity_region(self, capsys):
+        assert main(["reflectivity", "--trace", PEAKS,
+                     "--region", "-0", "7"]) == 0
+        assert "(0 m to 7 m)" in capsys.readouterr().out
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [["threshold", "--preset", "fig3"], BUDGET])
     def test_closed_pipe_exits_one_quietly(self, argv):

@@ -30,6 +30,8 @@ import pytest
 
 from thabound.cli import main
 
+from conftest import DATA_DIR
+
 BENCH_DIR = pathlib.Path(__file__).parent.parent / "benchmarks"
 GOLDEN = json.loads((BENCH_DIR / "golden.json").read_text(encoding="utf-8"))
 
@@ -71,6 +73,13 @@ def test_output_matches_pinned_digest(key, tmp_path, monkeypatch, capsys):
     assert sorted(produced) == sorted(GOLDEN[key])
     for name, digest in GOLDEN[key].items():
         assert _sha256(produced[name]) == digest, f"{key}: {name} differs"
+
+
+def test_bundled_trace_is_the_test_fixture():
+    # The golden reflectivity digest is taken from the benchmark's copy of
+    # the README trace; the tests read the fixture file.
+    fixture = DATA_DIR / "transmitter_peaks.csv"
+    assert fixture.read_bytes() == INPUTS.BUNDLED_TRACE.encode("utf-8")
 
 
 @pytest.mark.parametrize("index", range(len(CLI_OPS)),

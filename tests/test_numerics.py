@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import pathlib
 import sys
@@ -7,7 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import thabound
+from thabound.attacks import no_attack
+from thabound.channel import single_photon
+from thabound.keyrate import RatePoint
 from thabound.numerics import (
+    Record,
     binary_entropy,
     db_from_linear,
     linear_from_db,
@@ -138,6 +143,59 @@ def test_range_rules_have_one_owner():
              if path.name != "numerics.py"
              for function in _finiteness_tests(ast.parse(path.read_text()))}
     assert found == HAND_WRITTEN_RULES
+
+
+def _package_records() -> list[type]:
+    """Every tuple subclass in the package that defines __post_init__."""
+    package = pathlib.Path(thabound.__file__).parent
+    records = []
+    for path in sorted(package.glob("*.py")):
+        name = "thabound" if path.stem == "__init__" else f"thabound.{path.stem}"
+        module = importlib.import_module(name)
+        records += [value for value in vars(module).values()
+                    if isinstance(value, type) and issubclass(value, tuple)
+                    and value.__module__ == name and "__post_init__" in vars(value)]
+    return records
+
+
+RECORDS = _package_records()
+_CHANNEL = (0.2, 0.125, 0.01, 1e-5, 1.2)
+# Per record: valid field values, then a field and a value its rule rejects.
+RECORD_SAMPLES = {
+    "AttackModel": (("general", 1e-6), "mu_out", -1.0),
+    "ChannelParams": (_CHANNEL, "f_ec", 0.5),
+    "ComponentCatalog": (((-50.0,), (-40.0,), (0.0,)), "filter_db_values", ()),
+    "IsolationBudget": ((0.0, -50.0, 1, 0.0, -40.0), "isolator_count", 2.5),
+    "LidtSpec": ((4.3e23, 1e-4, 1.55e-6), "photon_flux", 0.0),
+    "LinkObservables": ((0.1, 0.02, 0.1, 0.02, 0.1), "e_x", 1.5),
+    "RateQuery": ((_CHANNEL, single_photon(), no_attack(), 10.0), "length_km", -1.0),
+    "RateSeries": (((RatePoint(0.0, 0.1, True), RatePoint(1.0, 0.05, True)),),
+                   "points", (RatePoint(1.0, 0.1, True), RatePoint(0.0, 0.05, True))),
+    "ReflectionPeak": ((1.2, -46.0, "short_arm"), "reflectivity_db", 3.0),
+    "SourceModel": (("decoy", 0.5), "s", 0.0),
+}
+
+
+def test_every_record_has_a_sample():
+    assert sorted(cls.__name__ for cls in RECORDS) == sorted(RECORD_SAMPLES)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    # The stock namedtuple _make, which _replace uses, skips __new__ and so
+    # the record's rules; Record's does not.
+    values, field, rejected = RECORD_SAMPLES[cls.__name__]
+    record = cls(*values)
+    assert issubclass(cls, Record)
+    assert "_make" not in vars(cls)
+    assert not hasattr(record, "__dict__")
+    assert cls._make(values) == record
+    with pytest.raises(ValueError):
+        record._replace(**{field: rejected})
+    bad = list(values)
+    bad[cls._fields.index(field)] = rejected
+    with pytest.raises(ValueError):
+        cls._make(bad)
 
 
 class TestDecibels:
