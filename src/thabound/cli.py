@@ -39,7 +39,6 @@ from thabound.channel import (
 )
 from thabound.characterize import parse_trace, reflectivity_bound
 from thabound.keyrate import (
-    RATE_FLOOR,
     NoPositiveRateError,
     max_distance,
     mu_out_threshold,
@@ -150,6 +149,11 @@ def _sorted_attacks(attack_list: tuple[AttackModel, ...]) -> list[AttackModel]:
     return sorted(entries, key=lambda a: (a.kind, a.mu_out))
 
 
+# The lower y limit of the plot, and nothing else: no rate is floored.  A
+# zero rate (no key) is written 0 and plotted as a gap.
+RATE_FLOOR = 1e-12
+
+
 def _gnuplot_script(csv_path: str, blocks: list[AttackModel],
                     source: SourceModel) -> str:
     base = os.path.basename(csv_path)
@@ -192,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple:
     blocks = _sorted_attacks(attack_list)
 
     # Rates are evaluated length by length, all blocks at once, and written
-    # block by block; rates below RATE_FLOOR are written as 0.
+    # block by block; a zero rate is written as 0, not 0.0.
     lengths = sweep_lengths(args.l_min, args.l_max, args.step)
     rates_by_length = [rates_at(channel, source, blocks, length)
                        for length in lengths]
@@ -203,7 +207,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple:
         attack_cells = f"{_fmt(attack.mu_out)},{attack.kind},{label}"
         for length_cell, rates in zip(length_cells, rates_by_length):
             rate = rates[index]
-            rate_cell = _fmt(rate) if rate >= RATE_FLOOR else "0"
+            rate_cell = _fmt(rate) if rate > 0.0 else "0"
             rows.append(f"{length_cell},{attack_cells},{rate_cell}")
 
     files = {output_path: "\n".join(rows) + "\n",
@@ -370,9 +374,9 @@ def cmd_convexity(args: argparse.Namespace) -> tuple:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # argparse reads -50 as a value but -5e1, -inf and -nan as options.
-        self._negative_number_matcher = re.compile(
-            r"(?i)-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-(inf|infinity|nan)$")
+        # Whatever starts like a negative number (-5e1, -inf, a malformed -0x)
+        # is a value for the type to judge; no option here starts that way.
+        self._negative_number_matcher = re.compile(r"(?i)-(\d|\.\d|inf|nan)")
         # Every type=float flag converts through _float; action.type stays
         # float, so argparse still reports "invalid float value".
         self.register("type", float, _float)

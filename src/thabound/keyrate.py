@@ -28,10 +28,6 @@ from thabound.channel import (
 )
 from thabound.numerics import Record, binary_entropy, nonnegative, positive
 
-# Rates below this are reported as zero (and flagged insecure); they are
-# beyond physical relevance and keep log-scale plots finite.
-RATE_FLOOR = 1e-12
-
 # Fixed search constants, so CLI output is reproducible.
 MU_BRACKET_HI = 2.0
 MU_REL_TOL = 1e-3
@@ -80,9 +76,6 @@ class RateSeries(Record, namedtuple("RateSeries", "points")):
         for prev, cur in zip(self.points, self.points[1:]):
             if not cur.length_km > prev.length_km:
                 raise ValueError("lengths must be strictly increasing")
-        for pt in self.points:
-            if not pt.secure and pt.rate != 0.0:
-                raise ValueError("insecure points must carry rate 0")
 
 
 def _privacy_factor(obs: LinkObservables, attack: AttackModel) -> float | None:
@@ -186,16 +179,14 @@ def sweep_distance(channel: ChannelParams, source: SourceModel,
                    step: float) -> RateSeries:
     """Evaluate the key rate on the grid of sweep_lengths(l_min, l_max, step).
 
-    Rates below RATE_FLOOR are reported as 0 with secure=False.
+    Each rate is kept as computed; a point is secure when its rate is
+    positive.
     """
     attack_list = (attack,)
     points = []
     for length in sweep_lengths(l_min, l_max, step):
         rate = rates_at(channel, source, attack_list, length)[0]
-        if rate < RATE_FLOOR:
-            points.append(RatePoint(length, 0.0, False))
-        else:
-            points.append(RatePoint(length, rate, True))
+        points.append(RatePoint(length, rate, rate > 0.0))
     return RateSeries(tuple(points))
 
 

@@ -14,7 +14,7 @@ from thabound import cli, keyrate
 from thabound.attacks import AttackModel
 from thabound.channel import single_photon
 from thabound.cli import SWEEP_CSV_HEADER, main
-from thabound.keyrate import rates_at
+from thabound.keyrate import RatePoint, rate_at, sweep_distance
 
 from conftest import DATA_DIR, REFERENCE_CHANNEL as CHANNEL, read_sweep_csv
 
@@ -133,20 +133,23 @@ class TestSweepCommand:
         rows = read_sweep_csv(str(out))
         assert all(r.source == "decoy:0.5" for r in rows)
 
-    def test_rate_at_floor_written_as_repr(self, tmp_path, monkeypatch):
-        rate = rates_at(CHANNEL, single_photon(), (AttackModel("general", 1e-4),),
-                        10.0)[0]
-        argv = ["sweep", "--attack", "general:1e-4", "--l-max", "10",
-                "--step", "10", "--output", str(tmp_path / "out.csv")]
-        for floor, cell in ((rate, repr(rate)),
-                            (math.nextafter(rate, math.inf), "0")):
-            monkeypatch.setattr(keyrate, "RATE_FLOOR", floor)
-            monkeypatch.setattr(cli, "RATE_FLOOR", floor)
-            assert main(argv) == 0
-            last = (tmp_path / "out.csv").read_text().splitlines()[-1]
-            assert last == f"10.0,0.0001,general,single_photon,{cell}"
-            # The plot's lower y limit is the same floor.
-            assert f"set yrange [{floor:g}:1]" in (tmp_path / "out.gp").read_text()
+    def test_rate_below_1e_12_written_as_computed(self, tmp_path):
+        # Inside the reach that threshold reports (104.52 km for this
+        # leakage), with a positive rate below the plot's lower y limit.
+        length = 104.504733745
+        attack = AttackModel("general", 1e-4)
+        rate = rate_at(CHANNEL, single_photon(), attack, length)
+        assert 0.0 < rate < 1e-12
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--attack", "general:1e-4", "--l-min", str(length),
+                     "--l-max", str(length + 1), "--step", "1",
+                     "--output", str(out)]) == 0
+        first = out.read_text().splitlines()[1]
+        assert first == f"{length!r},0.0001,general,single_photon,{rate!r}"
+        assert "set yrange [1e-12:1]" in (tmp_path / "out.gp").read_text()
+        series = sweep_distance(CHANNEL, single_photon(), attack, length,
+                                length + 1, 1)
+        assert series.points[0] == RatePoint(length, rate, True)
 
 
 class TestThresholdCommand:
@@ -698,6 +701,23 @@ class TestNonFiniteInput:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert names_flag.search(captured.err), captured.err
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, action", [
+        pytest.param(command, action, id=f"{command}-{action.dest}")
+        for command, action in _numeric_flags()
+    ])
+    def test_malformed_negative_value_is_named(self, tmp_path, monkeypatch,
+                                               capsys, command, action):
+        # -0x starts like a negative number, so argparse hands it to the
+        # flag's type instead of reading it as an option.
+        monkeypatch.chdir(tmp_path)
+        for argv in _bad_argvs(command, action, "-0x"):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert (f"argument {action.option_strings[0]}: invalid "
+                    f"{action.type.__name__} value: '-0x'") in captured.err
             assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags, field", [

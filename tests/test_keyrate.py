@@ -176,10 +176,6 @@ class TestRateSeries:
         with pytest.raises(ValueError):
             RateSeries((RatePoint(1.0, 0.1, True), RatePoint(1.0, 0.1, True)))
 
-    def test_insecure_points_carry_zero(self):
-        with pytest.raises(ValueError):
-            RateSeries((RatePoint(0.0, 0.1, False),))
-
 
 class TestSweepDistance:
     def test_inclusive_grid(self):
@@ -191,7 +187,7 @@ class TestSweepDistance:
         series = sweep_distance(CHANNEL, SP, no_attack(), 0.0, 200.0, 1.0)
         assert len(series.points) == 201
 
-    def test_floor_applied_beyond_cutoff(self):
+    def test_zero_beyond_cutoff(self):
         series = sweep_distance(CHANNEL, SP, AttackModel("general", 0.01),
                                 0.0, 20.0, 1.0)
         beyond = [p for p in series.points if p.length_km >= 10.0]
@@ -204,16 +200,6 @@ class TestSweepDistance:
             sweep_distance(CHANNEL, SP, no_attack(), 10.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             sweep_distance(CHANNEL, SP, no_attack(), 0.0, 10.0, 0.0)
-
-    def test_rate_at_floor_is_kept(self, monkeypatch):
-        attack = AttackModel("general", 1e-4)
-        rate = rate_at(CHANNEL, SP, attack, 10.0)
-        for floor, point in ((rate, RatePoint(10.0, rate, True)),
-                             (math.nextafter(rate, math.inf),
-                              RatePoint(10.0, 0.0, False))):
-            monkeypatch.setattr(keyrate, "RATE_FLOOR", floor)
-            series = sweep_distance(CHANNEL, SP, attack, 0.0, 10.0, 10.0)
-            assert series.points[1] == point
 
     def test_single_length_grid_rejected(self):
         with pytest.raises(ValueError, match="empty sweep grid"):
