@@ -14,7 +14,7 @@ from thabound import cli, keyrate
 from thabound.attacks import AttackModel
 from thabound.channel import single_photon
 from thabound.cli import SWEEP_CSV_HEADER, main
-from thabound.keyrate import RatePoint, rate_at, sweep_distance
+from thabound.keyrate import rate_at
 
 from conftest import DATA_DIR, REFERENCE_CHANNEL as CHANNEL, read_sweep_csv
 
@@ -133,13 +133,13 @@ class TestSweepCommand:
         rows = read_sweep_csv(str(out))
         assert all(r.source == "decoy:0.5" for r in rows)
 
-    def test_rate_below_1e_12_written_as_computed(self, tmp_path):
+    def test_rate_at_floor_written_as_repr(self, tmp_path):
         # Inside the reach that threshold reports (104.52 km for this
         # leakage), with a positive rate below the plot's lower y limit.
         length = 104.504733745
-        attack = AttackModel("general", 1e-4)
-        rate = rate_at(CHANNEL, single_photon(), attack, length)
-        assert 0.0 < rate < 1e-12
+        rate = rate_at(CHANNEL, single_photon(), AttackModel("general", 1e-4),
+                       length)
+        assert 0.0 < rate < cli.RATE_FLOOR
         out = tmp_path / "out.csv"
         assert main(["sweep", "--attack", "general:1e-4", "--l-min", str(length),
                      "--l-max", str(length + 1), "--step", "1",
@@ -147,10 +147,6 @@ class TestSweepCommand:
         first = out.read_text().splitlines()[1]
         assert first == f"{length!r},0.0001,general,single_photon,{rate!r}"
         assert "set yrange [1e-12:1]" in (tmp_path / "out.gp").read_text()
-        series = sweep_distance(CHANNEL, single_photon(), attack, length,
-                                length + 1, 1)
-        assert series.points[0] == RatePoint(length, rate, True)
-
 
 class TestThresholdCommand:
     def test_report_structure_and_values(self, capsys):

@@ -201,6 +201,15 @@ class TestSweepDistance:
         with pytest.raises(ValueError):
             sweep_distance(CHANNEL, SP, no_attack(), 0.0, 10.0, 0.0)
 
+    def test_rate_at_floor_is_kept(self):
+        # A positive rate below 1e-12, inside the reach, is kept as computed.
+        length = 104.504733745
+        attack = AttackModel("general", 1e-4)
+        rate = rate_at(CHANNEL, SP, attack, length)
+        assert 0.0 < rate < 1e-12
+        series = sweep_distance(CHANNEL, SP, attack, length, length + 1, 1)
+        assert series.points[0] == RatePoint(length, rate, True)
+
     def test_single_length_grid_rejected(self):
         with pytest.raises(ValueError, match="empty sweep grid"):
             sweep_distance(CHANNEL, SP, no_attack(), 5.0, 5.0, 1.0)
