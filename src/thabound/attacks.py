@@ -11,7 +11,8 @@ Only ``effective_imbalance`` and ``usd_conclusive_fraction`` can leave the
 validity domain of the bound (renormalized imbalance at or above 1/2,
 conclusive fraction at or above 1); they return ``None`` as an "insecure"
 sentinel, which the key-rate engine maps to a zero rate.  Inputs are taken
-as validated: mu_out by ``AttackModel``, a positive yield by ``link_rates``.
+as validated: mu_out by ``AttackModel`` where it enters the program (the
+searches make only valid ones), a positive yield by ``link_rates``.
 """
 
 import math

@@ -55,18 +55,12 @@ def parse_trace(text: str) -> list[ReflectionPeak]:
         fields = line.split(",")
         if len(fields) != 3:
             raise ValueError(f"line {line_no}: expected 3 fields, got {len(fields)}")
-        # float ignores the same surrounding whitespace as str.strip, except
-        # U+001F (unit separator), which the stripped retry accepts.
         try:
-            distance = float(fields[0])
-            reflectivity = float(fields[1])
+            distance = float(fields[0].strip())
+            reflectivity = float(fields[1].strip())
         except ValueError:
-            try:
-                distance = float(fields[0].strip())
-                reflectivity = float(fields[1].strip())
-            except ValueError:
-                raise ValueError(f"line {line_no}: distance and reflectivity "
-                                 "must be numeric") from None
+            raise ValueError(f"line {line_no}: distance and reflectivity "
+                             "must be numeric") from None
         tag = fields[2].strip()
         arm = _POLARIZATION_TAGS.get(tag)
         if arm is None:

@@ -78,24 +78,25 @@ class RateSeries(Record, namedtuple("RateSeries", "points")):
                 raise ValueError("lengths must be strictly increasing")
 
 
-def _privacy_factor(obs: LinkObservables, attack: AttackModel) -> float | None:
+def _privacy_factor(obs: LinkObservables, kind: str,
+                    mu_out: float) -> float | None:
     """Per-detection privacy term, or None when the bound is vacuous."""
-    if attack.kind == attacks.NO_ATTACK:
+    if kind == attacks.NO_ATTACK:
         return 1.0 - binary_entropy(obs.e1)
-    if attack.kind == attacks.GENERAL:
+    if kind == attacks.GENERAL:
         delta_eff = attacks.effective_imbalance(
-            attacks.coin_imbalance(attack.mu_out), obs.y1)
+            attacks.coin_imbalance(mu_out), obs.y1)
         if delta_eff is None:
             return None
         return 1.0 - binary_entropy(attacks.phase_error_general(obs.e1, delta_eff))
-    if attack.kind == attacks.PASSIVE:
-        e_phase = attacks.phase_error_passive(obs.e1, attack.mu_out)
+    if kind == attacks.PASSIVE:
+        e_phase = attacks.phase_error_passive(obs.e1, mu_out)
         return 1.0 - binary_entropy(e_phase)
     # USD, the last kind AttackModel admits.
-    conclusive = attacks.usd_conclusive_fraction(attack.mu_out, obs.y1)
+    conclusive = attacks.usd_conclusive_fraction(mu_out, obs.y1)
     if conclusive is None:
         return None
-    e_phase = attacks.phase_error_passive(obs.e1, attack.mu_out)
+    e_phase = attacks.phase_error_passive(obs.e1, mu_out)
     ratio = min(0.5, e_phase / (1.0 - conclusive))
     return (1.0 - conclusive) * (1.0 - binary_entropy(ratio))
 
@@ -113,22 +114,19 @@ def link_rates(obs: LinkObservables, f_ec: float,
                ) -> list[float]:
     """Secure key rates on one link, one per attack: the rate step.
 
-    The error-correction cost depends only on the link, so it is evaluated
-    at most once; only the privacy term is taken per attack.  Each rate is
-    never negative.
+    Each attack is an AttackModel or a plain (kind, mu_out) pair of values
+    the program already knows to be valid.  The error-correction cost
+    depends only on the link, so it is evaluated once; only the privacy
+    term is taken per attack.  Each rate is never negative.
     """
     if obs.q1 == 0.0 and obs.q_x == 0.0:
         return [0.0] * len(attack_list)
-    ec_cost = None  # not needed while every bound is vacuous
+    ec_cost = obs.q_x * f_ec * binary_entropy(obs.e_x)
     rates = []
-    for attack in attack_list:
-        privacy = _privacy_factor(obs, attack)
-        if privacy is None:
-            rates.append(0.0)
-            continue
-        if ec_cost is None:
-            ec_cost = obs.q_x * f_ec * binary_entropy(obs.e_x)
-        rates.append(max(0.0, obs.q1 * privacy - ec_cost))
+    for kind, mu_out in attack_list:
+        privacy = _privacy_factor(obs, kind, mu_out)
+        rates.append(0.0 if privacy is None
+                     else max(0.0, obs.q1 * privacy - ec_cost))
     return rates
 
 
@@ -222,16 +220,19 @@ def mu_out_threshold(channel: ChannelParams, source: SourceModel,
     Rates are monotone nonincreasing in distance, so the supremum over all
     distances is attained at L = 0; the search therefore runs there, with
     the link observables evaluated once and only the rate step per mu.
-    Bisection on [0, MU_BRACKET_HI] to relative tolerance MU_REL_TOL.
+    Bisection on [0, MU_BRACKET_HI] to relative tolerance MU_REL_TOL.  When
+    the rate is still positive at MU_BRACKET_HI, that end is returned: the
+    threshold is then at least MU_BRACKET_HI.
     """
     if attack_kind == attacks.NO_ATTACK:
         raise ValueError("threshold search needs an attack kind")
+    AttackModel(attack_kind, 0.0)  # validates the kind, once per search
     obs = link_at(channel, source, 0.0)
     f_ec = channel.f_ec
 
     def rate_of(mu: float) -> float:
-        # AttackModel is the record that validates the kind and mu.
-        return link_rates(obs, f_ec, (AttackModel(attack_kind, mu),))[0]
+        # Every probe lies in [0, MU_BRACKET_HI], so the pair needs no record.
+        return link_rates(obs, f_ec, ((attack_kind, mu),))[0]
 
     return _last_positive(rate_of, MU_BRACKET_HI, MU_REL_TOL, 1e-15,
                           "channel yields no key even without leakage")
@@ -242,7 +243,9 @@ def max_distance(channel: ChannelParams, source: SourceModel,
     """Largest distance with a positive rate, to LENGTH_TOL_KM.
 
     Bisection on [0, LENGTH_BRACKET_KM]; raises NoPositiveRateError when
-    there is no key even at zero distance.
+    there is no key even at zero distance.  When the rate is still positive
+    at LENGTH_BRACKET_KM, that end is returned: the reach is then at least
+    LENGTH_BRACKET_KM.
     """
     attack_list = (attack,)
 
@@ -262,10 +265,11 @@ def verify_convexity(channel: ChannelParams, source: SourceModel,
     slack.  Convexity is what makes a constant-intensity probe optimal for
     the eavesdropper: splitting the same mean photon number unevenly across
     pulses never hurts her.  The AttackModel records reject a negative or
-    non-finite mu, and a nonzero one for kind 'none'.
+    non-finite mu, and a nonzero one for kind 'none'.  The midpoint lies
+    between them, taken as 0.5 mu1 + 0.5 mu2 so that it cannot overflow.
     """
     midpoint, rate1, rate2 = rates_at(
-        channel, source, (AttackModel(attack_kind, 0.5 * (mu1 + mu2)),
+        channel, source, ((attack_kind, 0.5 * mu1 + 0.5 * mu2),
                           AttackModel(attack_kind, mu1),
                           AttackModel(attack_kind, mu2)), length_km)
     return midpoint <= 0.5 * (rate1 + rate2) + CONVEXITY_SLACK

@@ -525,10 +525,15 @@ class TestConvexityCommand:
     def test_violations_exit_two(self, monkeypatch, capsys):
         # sqrt(mu) is strictly concave, so a pair of distinct mu violates.
         monkeypatch.setattr(keyrate, "rates_at", lambda channel, source, attacks,
-                            length: [math.sqrt(a.mu_out) for a in attacks])
+                            length: [math.sqrt(mu) for _, mu in attacks])
         assert main(["convexity", "--pairs", "1"]) == 2
         assert capsys.readouterr().out.splitlines()[-1] == (
             "checked 6 pairs, 6 violations")
+
+    def test_extreme_finite_mu_max(self, capsys):
+        assert main(["convexity", "--pairs", "3", "--mu-max", "1e308"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "checked 18 pairs, 0 violations")
 
     def test_pairs_cap_is_inclusive(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_CONVEXITY_PAIRS", 2)

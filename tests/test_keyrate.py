@@ -25,6 +25,8 @@ from thabound.keyrate import (
     LENGTH_TOL_KM,
     MAX_GRID_POINTS,
     MAX_HALVINGS,
+    MU_BRACKET_HI,
+    MU_REL_TOL,
     NoPositiveRateError,
     RatePoint,
     RateQuery,
@@ -97,7 +99,7 @@ class TestUsdPrivacy:
         conclusive = usd_conclusive_fraction(attack.mu_out, obs.y1)
         assert conclusive == pytest.approx(0.3)
         assert phase_error_passive(obs.e1, attack.mu_out) / (1.0 - conclusive) > 0.55
-        assert keyrate._privacy_factor(obs, attack) == 0.0
+        assert keyrate._privacy_factor(obs, *attack) == 0.0
 
 
 class TestRatesAt:
@@ -265,6 +267,27 @@ class TestThresholdSearch:
         mu_out_threshold(CHANNEL, source, kind)
         assert lengths == [0.0]
 
+    @pytest.mark.parametrize("kind", ["general", "passive", "usd"])
+    @pytest.mark.parametrize("source", [SP, DECOY], ids=["sp", "decoy"])
+    def test_builds_one_attack_record(self, monkeypatch, source, kind):
+        # The kind is validated once; the probes go to the rate step as pairs.
+        built = _count_attack_records(monkeypatch)
+        mu_out_threshold(CHANNEL, source, kind)
+        assert built == [kind]
+
+
+def _count_attack_records(monkeypatch):
+    """The kind of every AttackModel built from now on, in order."""
+    built = []
+    post_init = AttackModel.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(AttackModel, "__post_init__", counting_post_init)
+    return built
+
 
 def _last_below(f, lo, hi, target):
     """Largest x in [lo, hi] with f(x) < target, for f increasing there.
@@ -384,8 +407,8 @@ class TestExactThreshold:
 
         def recording_link_rates(obs, f_ec, attack_list):
             rates = link_rates(obs, f_ec, attack_list)
-            evaluated.extend((attack.mu_out, rate)
-                             for attack, rate in zip(attack_list, rates))
+            evaluated.extend((mu, rate)
+                             for (_, mu), rate in zip(attack_list, rates))
             return rates
 
         monkeypatch.setattr(keyrate, "link_rates", recording_link_rates)
@@ -465,6 +488,73 @@ class TestMaxDistance:
                            math.nextafter(exact, math.inf)) == 0.0
 
 
+def _tolerance_bisection(rate_of, hi, rel_tol, abs_tol):
+    """The searches' bisection, written out; None when rate_of(0) has no key.
+
+    Returns hi when rate_of(hi) is still positive.  Otherwise halves [0, hi]
+    until it is no wider than max(rel_tol * hi, abs_tol), at most
+    MAX_HALVINGS times, and returns the bracket's midpoint.
+    """
+    if rate_of(0.0) <= 0.0:
+        return None
+    if rate_of(hi) > 0.0:
+        return hi
+    lo = 0.0
+    for _ in range(MAX_HALVINGS):
+        if hi - lo <= max(rel_tol * hi, abs_tol):
+            break
+        mid = 0.5 * (lo + hi)
+        if rate_of(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _search_or_none(search, *args):
+    try:
+        return search(*args)
+    except NoPositiveRateError:
+        return None
+
+
+class TestSearchReference:
+    """Both searches equal, bit for bit, a bisection over public rate_at
+    that builds a fresh AttackModel for every probe."""
+
+    @pytest.mark.parametrize("kind", ["general", "passive", "usd"])
+    @pytest.mark.parametrize("channel,source", TestExactThreshold.CASES)
+    def test_threshold(self, channel, source, kind):
+        expected = _tolerance_bisection(
+            lambda mu: rate_at(channel, source, AttackModel(kind, mu), 0.0),
+            MU_BRACKET_HI, MU_REL_TOL, 1e-15)
+        assert _search_or_none(mu_out_threshold, channel, source, kind) == expected
+
+    @pytest.mark.parametrize("channel,source", TestExactThreshold.CASES)
+    def test_reach(self, channel, source):
+        for kind in ("general", "passive", "usd"):
+            for mu in (0.0, 1e-6, 1e-3):
+                expected = _tolerance_bisection(
+                    lambda length: rate_at(channel, source, AttackModel(kind, mu),
+                                           length),
+                    LENGTH_BRACKET_KM, 0.0, LENGTH_TOL_KM)
+                found = _search_or_none(max_distance, channel, source,
+                                        AttackModel(kind, mu))
+                assert found == expected, (kind, mu)
+
+
+class TestBracketEnd:
+    def test_a_positive_bracket_end_is_a_lower_bound(self):
+        # Without optical errors or dark counts the passive rate stays
+        # positive beyond both brackets, so each search returns its end.
+        clear = CHANNEL._replace(e_opt=0.0, p_dark=0.0)
+        assert mu_out_threshold(clear, SP, "passive") == MU_BRACKET_HI
+        assert rate_at(clear, SP, AttackModel("passive", 5.0), 0.0) > 0.0
+        passive = AttackModel("passive", 1.0)
+        assert max_distance(clear, SP, passive) == LENGTH_BRACKET_KM
+        assert rate_at(clear, SP, passive, 2 * LENGTH_BRACKET_KM) > 0.0
+
+
 def _powers_of_ten(lo, hi):
     return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
 
@@ -504,6 +594,16 @@ class TestVerifyConvexity:
         with pytest.raises(ValueError):
             verify_convexity(CHANNEL, SP, "general", 0.0, -0.1, 0.1)
 
+    @pytest.mark.parametrize("kind", ["general", "passive", "usd"])
+    def test_extreme_finite_pair(self, kind):
+        # mu1 + mu2 overflows to inf; the midpoint 0.5 mu1 + 0.5 mu2 does not.
+        assert verify_convexity(CHANNEL, SP, kind, 0.0, 1.7e308, 1.7e308)
+
+    def test_builds_a_record_per_endpoint_only(self, monkeypatch):
+        built = _count_attack_records(monkeypatch)
+        verify_convexity(CHANNEL, SP, "general", 0.0, 0.01, 0.02)
+        assert built == ["general", "general"]
+
     @pytest.mark.parametrize("rate, convex", [(math.sqrt, False),
                                               (lambda mu: mu, True)],
                              ids=["concave", "linear"])
@@ -511,7 +611,7 @@ class TestVerifyConvexity:
                                                   convex):
         # sqrt(mu) is strictly concave; a linear rate meets its chord exactly.
         monkeypatch.setattr(keyrate, "rates_at", lambda channel, source, attacks,
-                            length: [rate(a.mu_out) for a in attacks])
+                            length: [rate(mu) for _, mu in attacks])
         assert verify_convexity(CHANNEL, SP, "general", 0.0, 0.0, 0.5) is convex
 
     @pytest.mark.parametrize("kind, mu1, mu2, message", [
