@@ -105,48 +105,39 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple:
-    """(channel, source, attacks) of a sweep or threshold.
+    """(channel, source, blocks) of a sweep or threshold.
 
     Starts from the preset or the defaults, then applies every channel,
-    source and attack flag that was given.
+    source and attack flag that was given.  blocks are the distinct attacks
+    in output order: the --attack entries if any were given, else the
+    preset's, else the baseline only.
     """
-    channel, source, attack_list = PRESET_CHANNEL, single_photon(), ()
-    if args.preset:
-        source_kind, s, attack_kind, mu_values = PRESETS[args.preset]
-        source = SourceModel(source_kind, s)
-        attack_list = (no_attack(),) + tuple(AttackModel(attack_kind, mu)
-                                            for mu in mu_values)
+    source_kind, preset_s, attack_kind, mu_values = PRESETS.get(
+        args.preset, (SINGLE_PHOTON, None, attacks_mod.NO_ATTACK, ()))
 
-    overrides = {field: getattr(args, field) for field in channel._fields
+    overrides = {field: getattr(args, field) for field in PRESET_CHANNEL._fields
                  if getattr(args, field) is not None}
-    if overrides:
-        channel = channel._replace(**overrides)
+    channel = PRESET_CHANNEL._replace(**overrides) if overrides else PRESET_CHANNEL
 
-    kind = args.source or source.kind
+    kind = args.source or source_kind
     s = args.decoy_s
     if kind == SINGLE_PHOTON:
         if s is not None:
             raise ValueError("--decoy-s only applies to a decoy source")
     elif s is None:
-        if source.kind != DECOY:
+        if preset_s is None:
             raise ValueError("--source decoy needs --decoy-s")
-        s = source.s
+        s = preset_s
     source = SourceModel(kind, s)
 
-    if args.attack_list:
-        attack_list = tuple(args.attack_list)
-    return channel, source, attack_list
+    attack_list = args.attack_list or [
+        no_attack(), *(AttackModel(attack_kind, mu) for mu in mu_values)]
+    return channel, source, sorted(set(attack_list))
 
 
 def _fmt(value: float) -> str:
     """Shortest exact decimal form of a float, for CSV cells."""
     return repr(float(value))
-
-
-def _sorted_attacks(attack_list: tuple[AttackModel, ...]) -> list[AttackModel]:
-    """Distinct attack blocks in output order; none given means baseline only."""
-    entries = set(attack_list) or {no_attack()}
-    return sorted(entries, key=lambda a: (a.kind, a.mu_out))
 
 
 # The lower y limit of the plot, and nothing else: no rate is floored.  A
@@ -187,13 +178,12 @@ def _gnuplot_script(csv_path: str, blocks: list[AttackModel],
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple:
-    channel, source, attack_list = _resolve_config(args)
+    channel, source, blocks = _resolve_config(args)
     output_path = args.output or f"{args.preset or 'sweep'}.csv"
     script_path = os.path.splitext(output_path)[0] + ".gp"
     if script_path == output_path:
         raise ValueError(f"output {output_path!r} is also the gnuplot script "
                          "path; give the CSV another extension")
-    blocks = _sorted_attacks(attack_list)
 
     # Rates are evaluated length by length, all blocks at once, and written
     # block by block; a zero rate is written as 0, not 0.0.
@@ -217,10 +207,9 @@ def cmd_sweep(args: argparse.Namespace) -> tuple:
 
 
 def cmd_threshold(args: argparse.Namespace) -> tuple:
-    channel, source, attack_list = _resolve_config(args)
+    channel, source, blocks = _resolve_config(args)
     reports = []
-    for kind, entries in groupby(_sorted_attacks(attack_list),
-                                 key=lambda a: a.kind):
+    for kind, entries in groupby(blocks, key=lambda a: a.kind):
         if kind == attacks_mod.NO_ATTACK:
             threshold = None
         else:
@@ -300,28 +289,24 @@ def cmd_reflectivity(args: argparse.Namespace) -> tuple:
     return 0, lines, {}
 
 
-def _lidt_base_spec(args: argparse.Namespace) -> budget_mod.LidtSpec:
+def cmd_lidt(args: argparse.Namespace) -> tuple:
     if args.preset is not None:
         if args.wavelength_m is not None:
             raise ValueError("--lambda only applies to --power")
-        if args.preset == "conservative":
-            return budget_mod.conservative_preset(args.bend_edge_compensation)
-        return budget_mod.fiber_fuse_preset(args.bend_edge_compensation)
-    if args.bend_edge_compensation:
-        raise ValueError("--bend-edge-compensation only applies to a --preset")
-    if args.wavelength_m is None:
-        raise ValueError("--power needs --lambda (wavelength in meters)")
-    flux = budget_mod.photon_flux_from_power(args.power, args.wavelength_m)
-    # A raw power rating is treated as continuous exposure.
-    return budget_mod.LidtSpec(photon_flux=flux, pulse_width_ref_s=1.0,
-                               wavelength_ref_m=args.wavelength_m)
-
-
-def cmd_lidt(args: argparse.Namespace) -> tuple:
-    spec = _lidt_base_spec(args)
-    if args.preset is not None:
+        preset_spec = (budget_mod.conservative_preset
+                       if args.preset == "conservative"
+                       else budget_mod.fiber_fuse_preset)
+        spec = preset_spec(args.bend_edge_compensation)
         lines = [f"preset: {args.preset}"]
     else:
+        if args.bend_edge_compensation:
+            raise ValueError("--bend-edge-compensation only applies to a --preset")
+        if args.wavelength_m is None:
+            raise ValueError("--power needs --lambda (wavelength in meters)")
+        flux = budget_mod.photon_flux_from_power(args.power, args.wavelength_m)
+        # A raw power rating is treated as continuous exposure.
+        spec = budget_mod.LidtSpec(photon_flux=flux, pulse_width_ref_s=1.0,
+                                   wavelength_ref_m=args.wavelength_m)
         lines = [f"input power: {args.power:.4e} W at {args.wavelength_m:.4e} m"]
     lines += [f"photon flux: {spec.photon_flux:.4e} photons/s",
               f"reference pulse width: {spec.pulse_width_ref_s:.4e} s",

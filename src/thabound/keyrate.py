@@ -35,7 +35,7 @@ LENGTH_BRACKET_KM = 500.0
 LENGTH_TOL_KM = 0.1
 
 # Bisection steps after which a search stops even if its tolerance is not
-# met (a zero tolerance never is); the presets need 11 to 13.
+# met (a zero tolerance never is); the preset searches need 12 to 18.
 MAX_HALVINGS = 64
 
 CONVEXITY_SLACK = 1e-12
@@ -157,8 +157,9 @@ def rate_at(channel: ChannelParams, source: SourceModel, attack: AttackModel,
 def sweep_lengths(l_min: float, l_max: float, step: float) -> list[float]:
     """The inclusive grid l_min, l_min+step, ... l_max of a distance sweep.
 
-    A grid of more than MAX_GRID_POINTS points raises ValueError, so a bad
-    step fails before any rate is evaluated.
+    A grid of more than MAX_GRID_POINTS points, or one with two equal
+    points (a step too fine for the float spacing of its lengths), raises
+    ValueError, so a bad step fails before any rate is evaluated.
     """
     nonnegative("l_min", l_min)
     positive("step", step)
@@ -169,7 +170,12 @@ def sweep_lengths(l_min: float, l_max: float, step: float) -> list[float]:
     if last >= MAX_GRID_POINTS:
         raise ValueError(f"sweep grid exceeds MAX_GRID_POINTS = {MAX_GRID_POINTS} "
                          "points; raise step or narrow [l_min, l_max]")
-    return [l_min + i * step for i in range(int(math.floor(last)) + 1)]
+    grid = [l_min + i * step for i in range(int(math.floor(last)) + 1)]
+    # The grid never decreases, so it increases strictly iff no point repeats.
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"step {step!r} is too small for lengths near "
+                         f"{l_max!r}: two sweep grid points are equal")
+    return grid
 
 
 def sweep_distance(channel: ChannelParams, source: SourceModel,

@@ -6,13 +6,14 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from thabound import budget as budget_mod
 from thabound import cli, keyrate
-from thabound.attacks import AttackModel
-from thabound.channel import single_photon
+from thabound.attacks import AttackModel, no_attack
+from thabound.channel import ChannelParams, SourceModel, single_photon
 from thabound.cli import SWEEP_CSV_HEADER, main
 from thabound.keyrate import rate_at
 
@@ -147,6 +148,30 @@ class TestSweepCommand:
         first = out.read_text().splitlines()[1]
         assert first == f"{length!r},0.0001,general,single_photon,{rate!r}"
         assert "set yrange [1e-12:1]" in (tmp_path / "out.gp").read_text()
+
+    @pytest.mark.parametrize("preset", ["fig4", "fig11"])
+    @pytest.mark.parametrize("grid", [
+        [],
+        ["--l-max", "0.3", "--step", "0.1"],  # last point 0.30000000000000004
+        ["--l-min", "3.7", "--l-max", "40", "--step", "0.3"],
+    ])
+    def test_blocks_match_the_library_sweep(self, tmp_path, preset, grid):
+        out = tmp_path / "series.csv"
+        argv = ["sweep", "--preset", preset, "--output", str(out), *grid]
+        assert main(argv) == 0
+        args = cli.build_parser().parse_args(argv)
+        channel, source, blocks = cli._resolve_config(args)
+        cells = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        start = 0
+        for attack in blocks:
+            points = keyrate.sweep_distance(channel, source, attack, args.l_min,
+                                            args.l_max, args.step).points
+            block = cells[start:start + len(points)]
+            start += len(points)
+            assert [(row[0], repr(float(row[4]))) for row in block] == [
+                (repr(p.length_km), repr(p.rate)) for p in points]
+        assert start == len(cells)
+
 
 class TestThresholdCommand:
     def test_report_structure_and_values(self, capsys):
@@ -735,12 +760,17 @@ class TestNonFiniteInput:
         (["--e-opt=-5e-13"], "e_opt must be a probability"),
         (["--l-min=-1"], "l_min must be finite and >= 0"),
         (["--step", "0"], "step must be finite and > 0"),
+        (["--l-min", "1e17", "--l-max", "1.0000000000001e17", "--step", "1"],
+         "step 1.0 is too small for lengths near 1.0000000000001e+17: "
+         "two sweep grid points are equal"),
     ])
     def test_sweep_exits_one_without_output(self, tmp_path, capsys, flags,
                                             field):
         code = main(["sweep", "--output", str(tmp_path / "out.csv"), *flags])
         assert code == 1
-        assert field in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -782,6 +812,38 @@ class TestOneOwnerPerRule:
         args = cli.build_parser().parse_args(
             ["threshold", "--preset", "fig3", "--e-opt", "0.02"])
         assert cli._resolve_config(args)[0] == cli.PRESET_CHANNEL._replace(e_opt=0.02)
+
+    @pytest.mark.parametrize("flags, blocks", [
+        ([], [no_attack()]),
+        (["--preset", "fig9"],
+         [no_attack(), AttackModel("passive", 1e-2), AttackModel("passive", 1e-1),
+          AttackModel("passive", 3e-1)]),
+        (["--preset", "fig4", "--attack", "usd:1e-3", "--attack", "general:1e-6"],
+         [AttackModel("general", 1e-6), AttackModel("usd", 1e-3)]),
+        (["--attack", "general:1e-6", "--attack", "general:1e-6"],
+         [AttackModel("general", 1e-6)]),
+    ])
+    def test_attack_blocks(self, flags, blocks):
+        args = cli.build_parser().parse_args(["threshold", *flags])
+        assert cli._resolve_config(args)[2] == blocks
+
+    @pytest.mark.parametrize("argv, built", [
+        (["sweep", "--preset", "fig4", "--attack", "general:1e-6"],
+         {"AttackModel": 1, "SourceModel": 1}),
+        (["sweep", "--preset", "fig4"], {"AttackModel": 5, "SourceModel": 1}),
+        (["threshold", "--attack", "usd:1e-3"], {"ChannelParams": 0}),
+    ])
+    def test_records_built_only_where_used(self, tmp_path, monkeypatch, capsys,
+                                           argv, built):
+        counts = Counter()
+        for record in (AttackModel, SourceModel, ChannelParams):
+            def counted(self, check=record.__post_init__):
+                counts[type(self).__name__] += 1
+                check(self)
+            monkeypatch.setattr(record, "__post_init__", counted)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert {name: counts[name] for name in built} == built
 
     @pytest.mark.parametrize("flag", ["--l-min", "--l-max", "--step", "--output"])
     def test_threshold_takes_no_grid_flags(self, capsys, flag):

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 
 import pytest
@@ -153,6 +154,36 @@ class TestLastPositive:
         _last_positive(rate_of, 1.0, 0.0, 2.0 ** -10, "no key")
         assert len(calls) == 2 + 10
 
+    def test_preset_searches_take_the_halvings_the_readme_states(
+            self, monkeypatch):
+        # The 6 thresholds and 30 reaches of the two sources and three kinds
+        # on the preset channel.  A search probes both bracket ends, then
+        # once per halving.
+        halvings = {MU_BRACKET_HI: [], LENGTH_BRACKET_KM: []}
+        search = keyrate._last_positive
+
+        def counted(rate_of, hi, *tolerances):
+            probes = []
+            result = search(lambda x: probes.append(x) or rate_of(x), hi,
+                            *tolerances)
+            halvings[hi].append(len(probes) - 2)
+            return result
+
+        monkeypatch.setattr(keyrate, "_last_positive", counted)
+        for source in (SP, DECOY):
+            for kind in ("general", "passive", "usd"):
+                mu_out_threshold(CHANNEL, source, kind)
+                for mu in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
+                    max_distance(CHANNEL, source, AttackModel(kind, mu))
+        thresholds, reaches = halvings[MU_BRACKET_HI], halvings[LENGTH_BRACKET_KM]
+        assert len(thresholds) == 6 and len(reaches) == 30
+        assert (min(thresholds), max(thresholds)) == (12, 18)
+        assert set(reaches) == {13}
+        readme = (pathlib.Path(__file__).resolve().parent.parent
+                  / "README.md").read_text(encoding="utf-8")
+        assert ("on the preset channel the thresholds reach their tolerance "
+                "in 12 to 18 and the reaches in 13" in " ".join(readme.split()))
+
 
 class TestRateQueryValidation:
     def test_negative_length_rejected(self):
@@ -221,6 +252,15 @@ class TestSweepDistance:
         assert len(sweep_lengths(0.0, last, 1.0)) == MAX_GRID_POINTS
         with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
             sweep_lengths(0.0, last + 1.0, 1.0)
+
+    def test_colliding_grid_rejected(self):
+        # At 1e17 km floats are 16 apart, so 1 km steps repeat points.
+        message = "step 1.0 is too small .*: two sweep grid points are equal"
+        with pytest.raises(ValueError, match=message):
+            sweep_lengths(1e17, 1.0000000000001e17, 1.0)
+        with pytest.raises(ValueError, match=message):
+            sweep_distance(CHANNEL, SP, no_attack(), 1e17, 1.0000000000001e17,
+                           1.0)
 
 
 class TestThresholdSearch:
