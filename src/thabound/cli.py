@@ -18,10 +18,10 @@ and writes nothing; main writes the files, then stdout.  So a command that
 raises has written no file and printed nothing.
 """
 
+# A stdlib module that only some subcommands use (json, random) is imported
+# inside them, so a process running another subcommand never loads it.
 import argparse
-import json
 import os
-import random
 import re
 import sys
 from itertools import groupby
@@ -228,6 +228,7 @@ def cmd_threshold(args: argparse.Namespace) -> tuple:
             "max_distance_at": distances,
         })
 
+    import json
     return 0, [json.dumps({"reports": reports}, indent=2)], {}
 
 
@@ -258,6 +259,7 @@ def cmd_budget(args: argparse.Namespace) -> tuple:
 
     files = {}
     if args.output:
+        import json
         payload = {
             "required_isolation_db": gamma,
             "budgets": [
@@ -332,6 +334,7 @@ def cmd_convexity(args: argparse.Namespace) -> tuple:
         raise ValueError(f"--pairs must be between 1 and {MAX_CONVEXITY_PAIRS}, "
                          f"got {args.pairs}")
     positive("mu_max", args.mu_max)
+    import random
     rng = random.Random(args.seed)
     sources = (single_photon(), decoy_state(0.5))
     kinds = (attacks_mod.GENERAL, attacks_mod.PASSIVE, attacks_mod.USD)
@@ -370,83 +373,103 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    _add_config_flags(parser)
+    parser.add_argument("--output", metavar="PATH",
+                        help="output path override")
+    parser.add_argument("--l-min", type=float, default=0.0, metavar="KM")
+    parser.add_argument("--l-max", type=float, default=200.0, metavar="KM")
+    parser.add_argument("--step", type=float, default=1.0, metavar="KM")
+
+
+def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mu-out", type=float, required=True,
+                        help="target leakage (photons per pulse)")
+    parser.add_argument("--photon-flux", type=float, required=True,
+                        help="damage-threshold flux N (photons per second)")
+    parser.add_argument("--clock-hz", type=float, required=True,
+                        help="system clock rate f_A")
+    for flag, field in (("--isolator-db", "isolator_db_values"),
+                        ("--reflectivity-db", "reflectivity_db_values"),
+                        ("--filter-db", "filter_db_values")):
+        parser.add_argument(flag, type=float, action="append", dest=field,
+                            metavar="DB",
+                            help="catalog value (nonpositive); repeatable, "
+                                 "replaces the stock set")
+    parser.add_argument("--no-attenuator", action="store_true",
+                        help="exclude attenuators (single-photon sources)")
+    parser.add_argument("--max-attenuator-db", type=float,
+                        default=budget_mod.MAX_ATTENUATOR_DB, metavar="DB",
+                        help="deepest attenuator to consider (nonpositive)")
+    parser.add_argument("--output", metavar="PATH",
+                        help="also write the budgets as JSON")
+
+
+def _add_reflectivity_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--trace", required=True, metavar="PATH")
+    parser.add_argument("--region", type=float, nargs=2, required=True,
+                        metavar=("MIN_M", "MAX_M"))
+
+
+def _add_lidt_flags(parser: argparse.ArgumentParser) -> None:
+    lidt_input = parser.add_mutually_exclusive_group(required=True)
+    lidt_input.add_argument("--preset", choices=("conservative", "fiber-fuse"))
+    lidt_input.add_argument("--power", type=float, metavar="W")
+    parser.add_argument("--lambda", type=float, dest="wavelength_m",
+                        metavar="M", help="wavelength of the input power")
+    parser.add_argument("--pulse-width", type=float, metavar="S",
+                        help="rescale the flux to this pulse width")
+    parser.add_argument("--wavelength", type=float, metavar="M",
+                        help="rescale the flux to this wavelength")
+    parser.add_argument("--bend-edge-compensation", action="store_true",
+                        help="allow the 10%% headroom of probing at the "
+                             "bend-loss edge")
+
+
+def _add_convexity_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--pairs", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--mu-max", type=float, default=0.6)
+
+
+# The subcommands in help order: (name, help, flag adder, handler).
+_SUBCOMMANDS = (
+    ("sweep", "rate vs distance CSV + plot script", _add_sweep_flags, cmd_sweep),
+    ("threshold", "leakage thresholds and max distances", _add_config_flags,
+     cmd_threshold),
+    ("budget", "plan an isolation budget", _add_budget_flags, cmd_budget),
+    ("reflectivity", "reflectivity bound from an OTDR peak CSV",
+     _add_reflectivity_flags, cmd_reflectivity),
+    ("lidt", "damage-threshold conversions", _add_lidt_flags, cmd_lidt),
+    ("convexity", "randomized convexity check of the rates",
+     _add_convexity_flags, cmd_convexity),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with only the subparser of `command` if it names one.
+
+    Any other `command` (None, an option, a typo) gets all six, so help and
+    usage errors list every subcommand.
+    """
     parser = _Parser(prog="thabound",
                      description="Trojan-horse leakage bounds for QKD "
                                  "transmitters: key rates, thresholds, and "
                                  "isolation budgets.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="rate vs distance CSV + plot script")
-    _add_config_flags(p_sweep)
-    p_sweep.add_argument("--output", metavar="PATH",
-                         help="output path override")
-    p_sweep.add_argument("--l-min", type=float, default=0.0, metavar="KM")
-    p_sweep.add_argument("--l-max", type=float, default=200.0, metavar="KM")
-    p_sweep.add_argument("--step", type=float, default=1.0, metavar="KM")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_thresh = sub.add_parser("threshold",
-                              help="leakage thresholds and max distances")
-    _add_config_flags(p_thresh)
-    p_thresh.set_defaults(func=cmd_threshold)
-
-    p_budget = sub.add_parser("budget", help="plan an isolation budget")
-    p_budget.add_argument("--mu-out", type=float, required=True,
-                          help="target leakage (photons per pulse)")
-    p_budget.add_argument("--photon-flux", type=float, required=True,
-                          help="damage-threshold flux N (photons per second)")
-    p_budget.add_argument("--clock-hz", type=float, required=True,
-                          help="system clock rate f_A")
-    for flag, field in (("--isolator-db", "isolator_db_values"),
-                        ("--reflectivity-db", "reflectivity_db_values"),
-                        ("--filter-db", "filter_db_values")):
-        p_budget.add_argument(flag, type=float, action="append", dest=field,
-                              metavar="DB",
-                              help="catalog value (nonpositive); repeatable, "
-                                   "replaces the stock set")
-    p_budget.add_argument("--no-attenuator", action="store_true",
-                          help="exclude attenuators (single-photon sources)")
-    p_budget.add_argument("--max-attenuator-db", type=float,
-                          default=budget_mod.MAX_ATTENUATOR_DB, metavar="DB",
-                          help="deepest attenuator to consider (nonpositive)")
-    p_budget.add_argument("--output", metavar="PATH",
-                          help="also write the budgets as JSON")
-    p_budget.set_defaults(func=cmd_budget)
-
-    p_refl = sub.add_parser("reflectivity",
-                            help="reflectivity bound from an OTDR peak CSV")
-    p_refl.add_argument("--trace", required=True, metavar="PATH")
-    p_refl.add_argument("--region", type=float, nargs=2, required=True,
-                        metavar=("MIN_M", "MAX_M"))
-    p_refl.set_defaults(func=cmd_reflectivity)
-
-    p_lidt = sub.add_parser("lidt", help="damage-threshold conversions")
-    lidt_input = p_lidt.add_mutually_exclusive_group(required=True)
-    lidt_input.add_argument("--preset", choices=("conservative", "fiber-fuse"))
-    lidt_input.add_argument("--power", type=float, metavar="W")
-    p_lidt.add_argument("--lambda", type=float, dest="wavelength_m",
-                        metavar="M", help="wavelength of the input power")
-    p_lidt.add_argument("--pulse-width", type=float, metavar="S",
-                        help="rescale the flux to this pulse width")
-    p_lidt.add_argument("--wavelength", type=float, metavar="M",
-                        help="rescale the flux to this wavelength")
-    p_lidt.add_argument("--bend-edge-compensation", action="store_true",
-                        help="allow the 10%% headroom of probing at the "
-                             "bend-loss edge")
-    p_lidt.set_defaults(func=cmd_lidt)
-
-    p_conv = sub.add_parser("convexity",
-                            help="randomized convexity check of the rates")
-    p_conv.add_argument("--pairs", type=int, default=200)
-    p_conv.add_argument("--seed", type=int, default=0)
-    p_conv.add_argument("--mu-max", type=float, default=0.6)
-    p_conv.set_defaults(func=cmd_convexity)
+    entries = [entry for entry in _SUBCOMMANDS if entry[0] == command]
+    for name, help_text, add_flags, handler in entries or _SUBCOMMANDS:
+        subparser = sub.add_parser(name, help=help_text)
+        add_flags(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The first argument is the subcommand whenever it names one.
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         code, lines, files = args.func(args)

@@ -155,7 +155,11 @@ def rate_at(channel: ChannelParams, source: SourceModel, attack: AttackModel,
 
 
 def sweep_lengths(l_min: float, l_max: float, step: float) -> list[float]:
-    """The inclusive grid l_min, l_min+step, ... l_max of a distance sweep.
+    """The grid l_min + i*step, i = 0 .. floor((l_max - l_min)/step + 1e-9).
+
+    The 1e-9 slack keeps l_max on the grid despite rounding, so the last
+    point can pass l_max by a rounding error: (0, 0.3, 0.1) ends at
+    0.30000000000000004.
 
     A grid of more than MAX_GRID_POINTS points, or one with two equal
     points (a step too fine for the float spacing of its lengths), raises

@@ -1,9 +1,12 @@
 import argparse
+import importlib
 import json
 import math
 import os
+import pathlib
 import random
 import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -18,6 +21,8 @@ from thabound.cli import SWEEP_CSV_HEADER, main
 from thabound.keyrate import rate_at
 
 from conftest import DATA_DIR, REFERENCE_CHANNEL as CHANNEL, read_sweep_csv
+from test_golden import CLI_OPS
+from test_readme import TRANSCRIPTS
 
 PEAKS = str(DATA_DIR / "transmitter_peaks.csv")
 BUDGET = ["budget", "--mu-out", "1e-6", "--photon-flux", "1e20", "--clock-hz", "1e9"]
@@ -852,3 +857,60 @@ class TestOneOwnerPerRule:
         with pytest.raises(SystemExit):
             main(["threshold", "--help"])
         assert flag not in capsys.readouterr().out
+
+
+def _parse_argvs():
+    """Every seed-0 benchmark op, base argv and README command line."""
+    readme = [shlex.split(command)[3:] for block in TRANSCRIPTS
+              for command, _ in block if command.startswith("python3 -m ")]
+    return ([list(op["argv"]) for op in CLI_OPS]
+            + list(BASE_ARGV.values()) + readme)
+
+
+def _run_main(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), help's SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneSubparser:
+    """main builds only the named subcommand's parser, and parses the same."""
+
+    @pytest.mark.parametrize("argv", _parse_argvs(), ids=" ".join)
+    def test_one_subparser_parses_like_all_six(self, argv):
+        one = cli.build_parser(argv[0]).parse_args(argv)
+        assert vars(one) == vars(cli.build_parser().parse_args(argv))
+
+    def test_one_subparser_has_only_its_command(self):
+        (commands,) = [action for action in cli.build_parser("lidt")._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert list(commands.choices) == ["lidt"]
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["sweep", "--help"], [], ["frobnicate"], ["budget"],
+        ["threshold", "--step", "5"],
+    ], ids=" ".join)
+    def test_help_and_usage_errors_match_the_full_parser(self, monkeypatch,
+                                                         capsys, argv):
+        got = _run_main(argv, capsys)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert got == _run_main(argv, capsys)
+        assert got[0] in (0, 1)
+
+    def test_console_script_reads_sys_argv(self, monkeypatch, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["thabound"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        argv = ["lidt", "--preset", "conservative"]
+        expected = _run_main(argv, capsys)
+        monkeypatch.setattr(sys, "argv", ["thabound", *argv])
+        assert _run_main(None, capsys) == expected
+        assert expected[0] == 0 and expected[1]

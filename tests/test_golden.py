@@ -136,10 +136,20 @@ def test_cli_import_times_every_module():
     assert [name for name in wanted if name not in found] == []
 
 
+def _loaded_by_cli_import() -> set:
+    """Modules `import thabound.cli` loads.  -S keeps whatever the site's
+    .pth files import out of the set."""
+    return {line.rpartition("|")[2].strip()
+            for line in _import_cli_stderr("-S").splitlines()}
+
+
 def test_cli_import_loads_no_dataclasses():
     # The records are named tuples; dataclasses and the inspect module it
-    # pulls in were the largest part of this import.  -S keeps whatever
-    # the site's .pth files import out of the list.
-    loaded = {line.rpartition("|")[2].strip()
-              for line in _import_cli_stderr("-S").splitlines()}
-    assert {"dataclasses", "inspect"} & loaded == set()
+    # pulls in were the largest part of this import.
+    assert {"dataclasses", "inspect"} & _loaded_by_cli_import() == set()
+
+
+def test_cli_import_loads_no_json_or_random():
+    # Only threshold and budget --output write JSON and only convexity
+    # draws random numbers, so each imports its module where it is used.
+    assert {"json", "random"} & _loaded_by_cli_import() == set()
