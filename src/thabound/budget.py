@@ -93,7 +93,7 @@ def lidt_scale_pulse_width(spec: LidtSpec, tau_new_s: float) -> LidtSpec:
     flux(tau1) / flux(tau2) = sqrt(tau1 / tau2).
     """
     positive("pulse_width", tau_new_s)
-    factor = math.sqrt(tau_new_s / spec.pulse_width_ref_s)
+    factor = math.sqrt(tau_new_s) / math.sqrt(spec.pulse_width_ref_s)
     return LidtSpec(photon_flux=spec.photon_flux * factor,
                     pulse_width_ref_s=tau_new_s,
                     wavelength_ref_m=spec.wavelength_ref_m)
@@ -106,7 +106,7 @@ def lidt_scale_wavelength(spec: LidtSpec, lambda_new_m: float) -> LidtSpec:
     sqrt(lambda_new / lambda_ref).
     """
     positive("wavelength", lambda_new_m)
-    factor = math.sqrt(lambda_new_m / spec.wavelength_ref_m)
+    factor = math.sqrt(lambda_new_m) / math.sqrt(spec.wavelength_ref_m)
     return LidtSpec(photon_flux=spec.photon_flux * factor,
                     pulse_width_ref_s=spec.pulse_width_ref_s,
                     wavelength_ref_m=lambda_new_m)
@@ -175,8 +175,10 @@ def required_isolation(mu_out_target: float, n_photons: float,
                        f_a_hz: float) -> float:
     """Isolation (dB) needed to keep the leakage at mu_out_target.
 
-    Each factor is converted on its own, so a ratio N / f_A that overflows
-    or underflows a float still gives a finite target.
+    Each factor is converted on its own, so a ratio N / f_A outside the
+    float range still gives a finite target.  The dB round trip rounds to
+    either side: mu_out_bound of this target may exceed mu_out_target by up
+    to ~1e-13 dB, and so may that of a plan that meets it with no margin.
     """
     positive("mu_out", mu_out_target)
     positive("photon_flux", n_photons)
@@ -225,11 +227,12 @@ def plan_budget(gamma_target_db: float,
     allow_attenuator=False for those).  A combination is feasible when its
     isolation_total is at most gamma_target_db.  The all-zero "nothing
     needed" budget is always considered, so a nonnegative target yields it.
-    A catalog and ladder giving more than MAX_BUDGET_CANDIDATES candidates
+    A repeated catalog value (0.0 and -0.0 alike) is enumerated once.  A
+    catalog and ladder giving more than MAX_BUDGET_CANDIDATES candidates
     raises ValueError before any is enumerated.
 
-    Returns feasible budgets sorted by (isolator count, attenuation depth,
-    isolator value, reflectivity, filter); empty list means infeasible.
+    Returns feasible budgets in the order (isolator count, attenuation depth,
+    isolator value, reflectivity, filter), each shallowest first, or [].
     """
     if catalog is None:
         catalog = ComponentCatalog()
@@ -238,27 +241,23 @@ def plan_budget(gamma_target_db: float,
     nonpositive_db("max_attenuator_db", max_attenuator_db)
     depth = max_attenuator_db if allow_attenuator else 0.0
     steps = int(math.floor(abs(depth) / ATTENUATOR_STEP_DB + 1e-9))
-    isolators, reflectivities, filters = (len(set(values)) for values in catalog)
-    if ((MAX_ISOLATORS * isolators + 1) * reflectivities * filters * (steps + 1)
-            + 1 > MAX_BUDGET_CANDIDATES):
+    isolators, reflectivities, filters = (sorted(set(values), key=abs)
+                                          for values in catalog)
+    if ((MAX_ISOLATORS * len(isolators) + 1) * len(reflectivities) * len(filters)
+            * (steps + 1) + 1 > MAX_BUDGET_CANDIDATES):
         raise ValueError("catalog gives more than MAX_BUDGET_CANDIDATES = "
                          f"{MAX_BUDGET_CANDIDATES} budget candidates; give fewer "
                          "distinct values or a shallower max_attenuator_db")
     attenuators = [0.0] + [-ATTENUATOR_STEP_DB * k for k in range(1, steps + 1)]
 
     # Tuples, not records: the catalog and the check above own every value.
-    # A set, so repeated values give one budget; the sort decides the order.
-    candidates = {(0.0, 0.0, 0, 0.0, 0.0)}
-    for count in range(MAX_ISOLATORS + 1):
-        for isolator in ([0.0] if count == 0 else catalog.isolator_db_values):
-            for reflectivity in catalog.reflectivity_db_values:
-                for filter_db in catalog.filter_db_values:
-                    for attenuator in attenuators:
-                        candidates.add((filter_db, isolator, count, attenuator,
-                                        reflectivity))
-
-    return sorted((IsolationBudget(*c) for c in candidates
-                   if isolation_total(c) <= gamma_target_db),
-                  key=lambda b: (b.isolator_count, abs(b.attenuator_db),
-                                 abs(b.isolator_db), abs(b.reflectivity_db),
-                                 abs(b.filter_db)))
+    # The loops nest in output order; the condition skips a second all-zero plan.
+    candidates = [(0.0, 0.0, 0, 0.0, 0.0)] + [
+        (filter_db, isolator, count, attenuator, reflectivity)
+        for count in range(MAX_ISOLATORS + 1)
+        for attenuator in attenuators
+        for isolator in ([0.0] if count == 0 else isolators)
+        for reflectivity in reflectivities
+        for filter_db in filters if count or attenuator or reflectivity or filter_db]
+    return [IsolationBudget(*c) for c in candidates
+            if isolation_total(c) <= gamma_target_db]

@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from thabound import budget as budget_mod
+from thabound.attacks import AttackModel
 from thabound.budget import (
     ComponentCatalog,
     IsolationBudget,
@@ -18,6 +20,9 @@ from thabound.budget import (
     plan_budget,
     required_isolation,
 )
+from thabound.channel import decoy_state, single_photon
+from thabound.cli import PRESET_CHANNEL, PRESETS
+from thabound.keyrate import mu_out_threshold, rates_at
 
 
 class TestLidtSpecs:
@@ -309,6 +314,110 @@ class TestPlanBudget:
     def test_feasibility_is_exact(self, gamma):
         for entry in plan_budget(gamma):
             assert isolation_total(entry) <= gamma
+
+
+def _set_and_sort_plans(gamma_target_db, catalog, max_attenuator_db,
+                        allow_attenuator):
+    """plan_budget as a set of every raw candidate, filtered, then sorted.
+
+    An independent statement of the order: the candidates are collected in
+    catalog order, repeats fall out in the set (the first one added stays),
+    and a five-part key sorts the feasible ones.
+    """
+    depth = max_attenuator_db if allow_attenuator else 0.0
+    steps = int(math.floor(abs(depth) / budget_mod.ATTENUATOR_STEP_DB + 1e-9))
+    attenuators = [0.0] + [-budget_mod.ATTENUATOR_STEP_DB * k
+                           for k in range(1, steps + 1)]
+    candidates = {(0.0, 0.0, 0, 0.0, 0.0)}
+    for count in range(budget_mod.MAX_ISOLATORS + 1):
+        for isolator in ([0.0] if count == 0 else catalog.isolator_db_values):
+            for reflectivity in catalog.reflectivity_db_values:
+                for filter_db in catalog.filter_db_values:
+                    for attenuator in attenuators:
+                        candidates.add((filter_db, isolator, count, attenuator,
+                                        reflectivity))
+    return sorted((IsolationBudget(*c) for c in candidates
+                   if isolation_total(c) <= gamma_target_db),
+                  key=lambda b: (b.isolator_count, abs(b.attenuator_db),
+                                 abs(b.isolator_db), abs(b.reflectivity_db),
+                                 abs(b.filter_db)))
+
+
+# Repeats, both zeros, an int beside its float and a fractional value.
+CATALOG_POOL = (0.0, -0.0, 0, -3.5, -5, -5.0, -10.0, -40.0, -50.0, -60.0)
+
+
+def _seeded_catalogs(seed, count):
+    """(target, catalog) draws, after four targets on a catalog whose
+    reflectivity and filter both hold each zero."""
+    rng = random.Random(seed)
+    zeros = ComponentCatalog((-0.0, -50.0), (-0.0, 0, -40.0), (0, -0.0, 0.0))
+    return [(gamma, zeros) for gamma in (10.0, 0.0, -0.0, -170.0)] + [
+        (rng.uniform(-450.0, 10.0),
+         ComponentCatalog(*(tuple(rng.choice(CATALOG_POOL)
+                                  for _ in range(rng.randint(1, 3)))
+                            for _ in range(3))))
+        for _ in range(count)]
+
+
+class TestPlanOrder:
+    """plan_budget equals the set-and-sort statement, field repr included."""
+
+    @pytest.mark.parametrize("allow", [True, False])
+    @pytest.mark.parametrize("depth", [0.0, -12.0, -35.0, -50.0])
+    def test_matches_set_and_sort(self, depth, allow):
+        for gamma, catalog in _seeded_catalogs(int(-depth) + allow, 100):
+            expected = _set_and_sort_plans(gamma, catalog, depth, allow)
+            found = plan_budget(gamma, catalog, depth, allow)
+            assert found == expected, (gamma, catalog)
+            assert [repr(b) for b in found] == [repr(b) for b in expected]
+
+    def test_repeated_value_is_hashed_once_per_occurrence(self):
+        # 100,000 copies of one isolator give the single-value plans.  The
+        # pre-count sees 97 candidates; a float that counts its hashes
+        # shows that the copies are read once, to dedupe them, and that no
+        # candidate is hashed at all.
+        hashes = []
+
+        class CountingFloat(float):
+            def __hash__(self):
+                hashes.append(None)
+                return float.__hash__(self)
+
+        copies = (CountingFloat(-50.0),) * 100_000
+        single = plan_budget(-150.0, ComponentCatalog(isolator_db_values=(-50.0,)))
+        found = plan_budget(-150.0, ComponentCatalog(isolator_db_values=copies))
+        assert found == single and len(found) == 68
+        assert len(hashes) == len(copies)
+
+
+def _seeded_flux_and_clock(seed, count):
+    """(N, f_A) pairs: the three clocks of the reference rows at N = 1e20,
+    then log-uniform draws over N in [1e10, 1e25], f_A in [1e6, 1e10]."""
+    rng = random.Random(seed)
+    return [(1e20, 1e9), (1e20, 1e6), (1e20, 1e3)] + [
+        (10.0 ** rng.uniform(10.0, 25.0), 10.0 ** rng.uniform(6.0, 10.0))
+        for _ in range(count)]
+
+
+class TestSpecToKey:
+    """The paper's chain: threshold, isolation target, plans, leakage, key."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_plan_leaks_a_mu_out_with_key(self, preset):
+        _, s, kind, _ = PRESETS[preset]
+        source = single_photon() if s is None else decoy_state(s)
+        threshold = mu_out_threshold(PRESET_CHANNEL, source, kind)
+        checked = 0
+        for n_photons, f_a_hz in _seeded_flux_and_clock(32, 6):
+            target = required_isolation(threshold, n_photons, f_a_hz)
+            leakages = [mu_out_bound(n_photons, f_a_hz, isolation_total(plan))
+                        for plan in plan_budget(target)]
+            rates = rates_at(PRESET_CHANNEL, source,
+                             [AttackModel(kind, mu) for mu in leakages], 0.0)
+            assert all(rate > 0.0 for rate in rates), (n_photons, f_a_hz)
+            checked += len(rates)
+        assert checked > 0
 
 
 NON_FINITE_CALLS = {

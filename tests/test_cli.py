@@ -488,6 +488,17 @@ class TestLidtCommand:
         assert code == 0
         assert "1.1000e+20" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, line", [
+        (["--preset", "conservative", "--pulse-width", "1e308"],
+         "flux at pulse width 1.0000e+308 s: 4.3000e+179 photons/s"),
+        (["--preset", "fiber-fuse", "--wavelength", "1e308"],
+         "flux at wavelength 1.0000e+308 m: 8.0322e+176 photons/s"),
+    ])
+    def test_extreme_finite_rescaling(self, capsys, flags, line):
+        # The ratio to the reference overflows a float; the flux does not.
+        assert main(["lidt", *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == line
+
     def test_power_without_wavelength_exits_one(self, capsys):
         assert main(["lidt", "--power", "2"]) == 1
 

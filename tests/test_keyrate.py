@@ -703,6 +703,8 @@ class TestWholeDomain:
 
 
 class TestMonotonicity:
+    # Slack relative to the rate: rounding moves a rate by a few ulps, and
+    # near the reach a rate can be far below any absolute slack.
     @settings(max_examples=100)
     @given(CHANNELS, SOURCES, LEAKAGES, LEAKAGES,
            st.floats(min_value=0.0, max_value=300.0),
@@ -712,7 +714,7 @@ class TestMonotonicity:
         lo, hi = sorted((a, b))
         r_lo, r_hi = rates_at(channel, source, (AttackModel(kind, lo),
                                                 AttackModel(kind, hi)), length)
-        assert r_hi <= r_lo + 1e-12
+        assert r_hi <= r_lo * (1 + 1e-13)
 
     @settings(max_examples=100)
     @given(CHANNELS, SOURCES, st.floats(min_value=0.0, max_value=300.0),
@@ -723,4 +725,55 @@ class TestMonotonicity:
         attack = AttackModel(kind, 0.0 if kind == "none" else mu)
         lo, hi = sorted((a, b))
         assert (rate_at(channel, source, attack, hi)
-                <= rate_at(channel, source, attack, lo) + 1e-12)
+                <= rate_at(channel, source, attack, lo) * (1 + 1e-13))
+
+
+def _one_interval_from_zero(rates):
+    """True when the positive rates are a prefix: key, then none after."""
+    first_zero = next((i for i, rate in enumerate(rates) if rate == 0.0),
+                      len(rates))
+    return all(rate == 0.0 for rate in rates[first_zero:])
+
+
+class TestKeyIsOneInterval:
+    """Where the rate is positive is one interval from 0, as both searches
+    assume: on a 0.5 km grid to 300 km, and on a log grid of mu_out."""
+
+    LENGTHS = sweep_lengths(0.0, 300.0, 0.5)
+    LEAKAGE_GRID = [0.0] + [10.0 ** (k / 20.0) for k in range(-200, 7)]
+
+    @settings(max_examples=40)
+    @given(CHANNELS, SOURCES,
+           st.sampled_from(["none", "general", "passive", "usd"]), LEAKAGES)
+    def test_in_distance(self, channel, source, kind, mu):
+        attack = AttackModel(kind, 0.0 if kind == "none" else mu)
+        rates = [rate_at(channel, source, attack, length)
+                 for length in self.LENGTHS]
+        assert _one_interval_from_zero(rates), rates
+
+    @settings(max_examples=100)
+    @given(CHANNELS, SOURCES, st.sampled_from(["general", "passive", "usd"]),
+           st.floats(min_value=0.0, max_value=300.0))
+    def test_in_leakage(self, channel, source, kind, length):
+        rates = rates_at(channel, source, [AttackModel(kind, mu)
+                                           for mu in self.LEAKAGE_GRID], length)
+        assert _one_interval_from_zero(rates), rates
+
+
+class TestConvexityNearThreshold:
+    """Midpoint convexity on random channels, with both leakages within
+    twice the channel's threshold, where the rate bends to zero."""
+
+    @pytest.mark.parametrize("kind", ["general", "passive", "usd"])
+    @pytest.mark.parametrize("channel,source", _seeded_cases(10, 12))
+    def test_holds(self, channel, source, kind):
+        try:
+            threshold = mu_out_threshold(channel, source, kind)
+        except NoPositiveRateError:
+            return
+        rng = random.Random(repr((channel, source, kind)))
+        for _ in range(40):
+            mu1, mu2 = (rng.uniform(0.0, 2.0 * threshold) for _ in range(2))
+            length = rng.choice((0.0, 0.0, 25.0, 50.0))
+            assert verify_convexity(channel, source, kind, length, mu1, mu2), (
+                mu1, mu2, length)
