@@ -7,10 +7,12 @@ states, its yield-renormalized form, the inflated phase-error rates of the
 three attack models, and the conclusive fraction of an intercept-resend
 strategy built on unambiguous state discrimination (USD).
 
-Only ``effective_imbalance`` and ``usd_conclusive_fraction`` can leave the
+``privacy_factor`` assembles these into the per-detection privacy term
+of each kind, the only way an attack enters the key rate.  Only
+``effective_imbalance`` and ``usd_conclusive_fraction`` can leave the
 validity domain of the bound (renormalized imbalance at or above 1/2,
 conclusive fraction at or above 1); they return ``None`` as an "insecure"
-sentinel, which the key-rate engine maps to a zero rate.  Inputs are taken
+sentinel, which ``privacy_factor`` maps to a zero term.  Inputs are taken
 as validated: mu_out by ``AttackModel`` where it enters the program (the
 searches make only valid ones), a positive yield by ``link_rates``.
 """
@@ -18,7 +20,7 @@ searches make only valid ones), a positive yield by ``link_rates``.
 import math
 from collections import namedtuple
 
-from thabound.numerics import Record, nonnegative
+from thabound.numerics import Record, binary_entropy, nonnegative
 
 NO_ATTACK = "none"
 GENERAL = "general"
@@ -123,3 +125,27 @@ def usd_conclusive_fraction(mu_out: float, yield_min: float) -> float | None:
     if delta >= 1.0:
         return None
     return delta
+
+
+def privacy_factor(kind: str, mu_out: float, e1: float, y1: float) -> float:
+    """Per-detection privacy term of an attack, 1 - h(phase error).
+
+    e1 and y1 are the single-photon error rate and yield of the link.  The
+    term is 0.0 where the bound is vacuous (an imbalance or conclusive
+    fraction out of range), which makes that attack's rate zero.
+    """
+    if kind == NO_ATTACK:
+        return 1.0 - binary_entropy(e1)
+    if kind == GENERAL:
+        delta_eff = effective_imbalance(coin_imbalance(mu_out), y1)
+        if delta_eff is None:
+            return 0.0
+        return 1.0 - binary_entropy(phase_error_general(e1, delta_eff))
+    if kind == PASSIVE:
+        return 1.0 - binary_entropy(phase_error_passive(e1, mu_out))
+    # USD, the last kind AttackModel admits.
+    conclusive = usd_conclusive_fraction(mu_out, y1)
+    if conclusive is None:
+        return 0.0
+    ratio = min(0.5, phase_error_passive(e1, mu_out) / (1.0 - conclusive))
+    return (1.0 - conclusive) * (1.0 - binary_entropy(ratio))

@@ -113,10 +113,16 @@ def lidt_scale_wavelength(spec: LidtSpec, lambda_new_m: float) -> LidtSpec:
 
 
 def photon_flux_from_power(power_w: float, wavelength_m: float) -> float:
-    """Photons per second in an optical beam: N = P lambda / (h c)."""
+    """Photons per second in an optical beam: N = P lambda / (h c).
+
+    The smaller of P and lambda is divided by h c before the larger one
+    multiplies it, so that no intermediate product leaves the float range
+    when N itself fits in it.
+    """
     positive("power", power_w)
     positive("wavelength_m", wavelength_m)
-    return power_w * wavelength_m / (PLANCK_H_JS * SPEED_OF_LIGHT_M_S)
+    small, large = sorted((power_w, wavelength_m))
+    return small / (PLANCK_H_JS * SPEED_OF_LIGHT_M_S) * large
 
 
 class IsolationBudget(Record, namedtuple(

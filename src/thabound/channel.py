@@ -10,7 +10,8 @@ equal the true ones.
 import math
 from collections import namedtuple
 
-from thabound.numerics import Record, nonnegative, positive, probability
+from thabound.numerics import (Record, linear_from_db, nonnegative, positive,
+                               probability)
 
 SINGLE_PHOTON = "single_photon"
 DECOY = "decoy"
@@ -108,7 +109,7 @@ class LinkObservables(Record, namedtuple("LinkObservables", "q_x e_x y1 e1 q1"))
 def transmittance(params: ChannelParams, length_km: float) -> float:
     """Overall transmission eta = eta_det * 10^(-alpha L / 10)."""
     nonnegative("length_km", length_km)
-    return params.eta_det * 10.0 ** (-params.alpha_db_per_km * length_km / 10.0)
+    return params.eta_det * linear_from_db(-params.alpha_db_per_km * length_km)
 
 
 def _single_photon_terms(params: ChannelParams, eta: float) -> tuple[float, float]:
@@ -155,3 +156,11 @@ def decoy_link(params: ChannelParams, length_km: float, s: float) -> LinkObserva
     e_s = (0.5 * params.p_dark * vac + params.e_opt * (1.0 - vac)) / q_s
     q1 = s * math.exp(-s) * y1
     return LinkObservables(q_s, e_s, y1, e1, q1)
+
+
+def link_at(params: ChannelParams, source: SourceModel,
+            length_km: float) -> LinkObservables:
+    """Link observables of the source at one length: the link step."""
+    if source.kind == SINGLE_PHOTON:
+        return single_photon_link(params, length_km)
+    return decoy_link(params, length_km, source.s)

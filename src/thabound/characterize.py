@@ -8,7 +8,8 @@ the isolation budget.
 import math
 from collections import namedtuple
 
-from thabound.numerics import Record, db_from_linear, nonnegative, nonpositive_db
+from thabound.numerics import (Record, db_from_linear, linear_from_db,
+                               nonnegative, nonpositive_db)
 
 SHORT_ARM = "short_arm"
 LONG_ARM = "long_arm"
@@ -94,5 +95,5 @@ def reflectivity_bound(peaks: list[ReflectionPeak],
     if not inside:
         return None
     top = max(inside)
-    return top + db_from_linear(math.fsum(10.0 ** ((r - top) / 10.0)
+    return top + db_from_linear(math.fsum(linear_from_db(r - top)
                                           for r in inside))

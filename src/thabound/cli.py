@@ -14,8 +14,8 @@ with repr (shortest round-trip form) in CSV cells and with fixed-width
 formats in text reports.
 
 Each cmd_* function returns (exit code, stdout lines, {path: file text})
-and writes nothing; main writes the files, then stdout.  So a command that
-raises has written no file and printed nothing.
+and writes nothing; main writes the files, all or none, then stdout.  So a
+command that raises has written no file and printed nothing.
 """
 
 # A stdlib module that only some subcommands use (json, random) is imported
@@ -465,6 +465,44 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _write_files(files: dict) -> None:
+    """Write every file or none.
+
+    Each text goes to a temporary file beside its target, and the
+    temporaries replace their targets by rename only once all are written,
+    so a failed write leaves every target as it was.  A symbolic link is
+    followed, and an existing target keeps its mode.
+    """
+    for path in files:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ValueError(f"output {path!r} exists and is not a regular file")
+    renames = []
+    try:
+        for path, text in files.items():
+            target = os.path.realpath(path)
+            temp = f"{target}.{os.getpid()}.tmp"
+            try:
+                handle = open(temp, "x", encoding="utf-8", newline="\n")
+            except OSError as exc:
+                # Name the output, not the temporary file.
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            renames.append((temp, target))
+            with handle:
+                handle.write(text)
+            if os.path.exists(target):
+                os.chmod(temp, os.stat(target).st_mode & 0o7777)
+        for temp, target in renames:
+            os.replace(temp, target)
+        renames.clear()
+    finally:
+        # After a failure: remove the temporaries (a renamed one is gone).
+        for temp, _ in renames:
+            try:
+                os.remove(temp)
+            except OSError:
+                pass
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -473,9 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         code, lines, files = args.func(args)
-        for path, text in files.items():
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+        _write_files(files)
         sys.stdout.writelines(f"{line}\n" for line in lines)
         # Flushed here, so a closed pipe is caught below and not at exit.
         sys.stdout.flush()

@@ -8,24 +8,18 @@ share one shape:
 where q1 is the single-photon gain credited with privacy amplification,
 q_x and e_x are the observed detection rate and QBER paying the
 error-correction cost, and the privacy factor encodes how the attack
-inflates the phase error.  The no-attack baseline is the same expression
-with the uninflated phase error, so an attack evaluated at mu_out = 0
-reproduces it bit for bit.
+inflates the phase error.  This module only assembles it, from
+``channel.link_at`` and ``attacks.privacy_factor``.  The no-attack
+baseline is the same expression with the uninflated phase error, so an
+attack evaluated at mu_out = 0 reproduces it bit for bit.
 """
 
 import math
 from collections import namedtuple
 
 from thabound import attacks
-from thabound.attacks import AttackModel
-from thabound.channel import (
-    ChannelParams,
-    LinkObservables,
-    SINGLE_PHOTON,
-    SourceModel,
-    decoy_link,
-    single_photon_link,
-)
+from thabound.attacks import AttackModel, privacy_factor
+from thabound.channel import ChannelParams, LinkObservables, SourceModel, link_at
 from thabound.numerics import Record, binary_entropy, nonnegative, positive
 
 # Fixed search constants, so CLI output is reproducible.
@@ -78,37 +72,6 @@ class RateSeries(Record, namedtuple("RateSeries", "points")):
                 raise ValueError("lengths must be strictly increasing")
 
 
-def _privacy_factor(obs: LinkObservables, kind: str,
-                    mu_out: float) -> float | None:
-    """Per-detection privacy term, or None when the bound is vacuous."""
-    if kind == attacks.NO_ATTACK:
-        return 1.0 - binary_entropy(obs.e1)
-    if kind == attacks.GENERAL:
-        delta_eff = attacks.effective_imbalance(
-            attacks.coin_imbalance(mu_out), obs.y1)
-        if delta_eff is None:
-            return None
-        return 1.0 - binary_entropy(attacks.phase_error_general(obs.e1, delta_eff))
-    if kind == attacks.PASSIVE:
-        e_phase = attacks.phase_error_passive(obs.e1, mu_out)
-        return 1.0 - binary_entropy(e_phase)
-    # USD, the last kind AttackModel admits.
-    conclusive = attacks.usd_conclusive_fraction(mu_out, obs.y1)
-    if conclusive is None:
-        return None
-    e_phase = attacks.phase_error_passive(obs.e1, mu_out)
-    ratio = min(0.5, e_phase / (1.0 - conclusive))
-    return (1.0 - conclusive) * (1.0 - binary_entropy(ratio))
-
-
-def link_at(channel: ChannelParams, source: SourceModel,
-            length_km: float) -> LinkObservables:
-    """Link observables of the source at one length: the link step."""
-    if source.kind == SINGLE_PHOTON:
-        return single_photon_link(channel, length_km)
-    return decoy_link(channel, length_km, source.s)
-
-
 def link_rates(obs: LinkObservables, f_ec: float,
                attack_list: list[AttackModel] | tuple[AttackModel, ...]
                ) -> list[float]:
@@ -122,11 +85,11 @@ def link_rates(obs: LinkObservables, f_ec: float,
     if obs.q1 == 0.0 and obs.q_x == 0.0:
         return [0.0] * len(attack_list)
     ec_cost = obs.q_x * f_ec * binary_entropy(obs.e_x)
+    q1, e1, y1 = obs.q1, obs.e1, obs.y1
     rates = []
     for kind, mu_out in attack_list:
-        privacy = _privacy_factor(obs, kind, mu_out)
-        rates.append(0.0 if privacy is None
-                     else max(0.0, obs.q1 * privacy - ec_cost))
+        rates.append(max(0.0, q1 * privacy_factor(kind, mu_out, e1, y1)
+                         - ec_cost))
     return rates
 
 

@@ -100,6 +100,19 @@ class TestPhotonFlux:
         assert photon_flux_from_power(12.8, 1550e-9) == pytest.approx(
             9.98768727e19, rel=1e-9)
 
+    @pytest.mark.parametrize("power, wavelength", [(1e-300, 1e-30),
+                                                   (1e-30, 1e-300),
+                                                   (1e300, 1e-300),
+                                                   (1e-300, 1e300)])
+    def test_extreme_finite_inputs(self, power, wavelength):
+        # N = P lambda / (h c) fits in a float although P lambda or
+        # P / (h c) does not.
+        expected = math.exp(math.log(power) + math.log(wavelength)
+                            - math.log(budget_mod.PLANCK_H_JS
+                                       * budget_mod.SPEED_OF_LIGHT_M_S))
+        assert photon_flux_from_power(power, wavelength) == pytest.approx(
+            expected, rel=1e-9)
+
     def test_linear_in_power(self):
         one = photon_flux_from_power(1.0, 1550e-9)
         assert photon_flux_from_power(7.0, 1550e-9) == pytest.approx(

@@ -499,6 +499,16 @@ class TestLidtCommand:
         assert main(["lidt", *flags]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == line
 
+    @pytest.mark.parametrize("power, wavelength, line", [
+        ("1e-300", "1e-30", "photon flux: 5.0341e-306 photons/s"),
+        ("1e300", "1e-300", "photon flux: 5.0341e+24 photons/s"),
+    ])
+    def test_extreme_finite_power(self, capsys, power, wavelength, line):
+        # P lambda underflows in the first case and P / (h c) overflows in
+        # the second; the flux fits in a float in both.
+        assert main(["lidt", "--power", power, "--lambda", wavelength]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == line
+
     def test_power_without_wavelength_exits_one(self, capsys):
         assert main(["lidt", "--power", "2"]) == 1
 
@@ -625,6 +635,45 @@ class TestWriteContract:
         assert captured.err.startswith("error: ")
         assert "No such file or directory" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [b"keep\n", None], ids=["kept", "absent"])
+    def test_script_path_is_a_directory(self, tmp_path, capsys, existing):
+        # The CSV comes first in the file list, so a write-through would
+        # already have replaced it when the script fails.
+        (tmp_path / "x.gp").mkdir()
+        csv = tmp_path / "x.csv"
+        if existing is not None:
+            csv.write_bytes(existing)
+        assert main(["sweep", "--l-max", "2", "--output", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: output {str(tmp_path / 'x.gp')!r} "
+                                "exists and is not a regular file\n")
+        expected = ["x.gp"] if existing is None else ["x.csv", "x.gp"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == expected
+        if existing is not None:
+            assert csv.read_bytes() == existing
+
+    def test_failed_write_keeps_every_target(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.gp"
+        first.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            # A lone surrogate cannot be encoded, so the second write fails.
+            cli._write_files({str(first): "new\n", str(second): "\ud800"})
+        assert first.read_text() == "old\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_replaces_through_a_link_and_keeps_the_mode(self, tmp_path):
+        target, link = tmp_path / "data.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        cli._write_files({str(link): "new\n"})
+        assert link.is_symlink()
+        assert target.read_text() == "new\n"
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "data.csv", "link.csv"]
 
 
 class TestNegativeZero:

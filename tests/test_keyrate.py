@@ -6,18 +6,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thabound.attacks import (
+    ATTACK_KINDS,
     AttackModel,
     coin_imbalance,
+    effective_imbalance,
     no_attack,
+    phase_error_general,
     phase_error_passive,
+    privacy_factor,
     usd_conclusive_fraction,
 )
+from thabound import channel as channel_mod
 from thabound import keyrate
 from thabound.channel import (
     ChannelParams,
     LinkObservables,
     decoy_link,
     decoy_state,
+    link_at,
     single_photon,
     single_photon_link,
 )
@@ -100,7 +106,7 @@ class TestUsdPrivacy:
         conclusive = usd_conclusive_fraction(attack.mu_out, obs.y1)
         assert conclusive == pytest.approx(0.3)
         assert phase_error_passive(obs.e1, attack.mu_out) / (1.0 - conclusive) > 0.55
-        assert keyrate._privacy_factor(obs, *attack) == 0.0
+        assert privacy_factor(*attack, obs.e1, obs.y1) == 0.0
 
 
 class TestRatesAt:
@@ -299,11 +305,12 @@ class TestThresholdSearch:
                                                    kind):
         lengths = []
         for name in ("single_photon_link", "decoy_link"):
-            def counting_link(channel, length_km, *rest, link=getattr(keyrate, name)):
+            def counting_link(channel, length_km, *rest,
+                              link=getattr(channel_mod, name)):
                 lengths.append(length_km)
                 return link(channel, length_km, *rest)
 
-            monkeypatch.setattr(keyrate, name, counting_link)
+            monkeypatch.setattr(channel_mod, name, counting_link)
         mu_out_threshold(CHANNEL, source, kind)
         assert lengths == [0.0]
 
@@ -777,3 +784,111 @@ class TestConvexityNearThreshold:
             length = rng.choice((0.0, 0.0, 25.0, 50.0))
             assert verify_convexity(channel, source, kind, length, mu1, mu2), (
                 mu1, mu2, length)
+
+
+def _reference_privacy_factor(obs, kind, mu_out):
+    """Reference privacy term, written with the None sentinel of the
+    attack formulas where the bound is vacuous."""
+    if kind == "none":
+        return 1.0 - binary_entropy(obs.e1)
+    if kind == "general":
+        delta_eff = effective_imbalance(coin_imbalance(mu_out), obs.y1)
+        if delta_eff is None:
+            return None
+        return 1.0 - binary_entropy(phase_error_general(obs.e1, delta_eff))
+    if kind == "passive":
+        return 1.0 - binary_entropy(phase_error_passive(obs.e1, mu_out))
+    conclusive = usd_conclusive_fraction(mu_out, obs.y1)
+    if conclusive is None:
+        return None
+    e_phase = phase_error_passive(obs.e1, mu_out)
+    ratio = min(0.5, e_phase / (1.0 - conclusive))
+    return (1.0 - conclusive) * (1.0 - binary_entropy(ratio))
+
+
+def _reference_link_rates(obs, f_ec, attack_list):
+    """Reference rate step, mapping a None privacy term to a zero rate."""
+    if obs.q1 == 0.0 and obs.q_x == 0.0:
+        return [0.0] * len(attack_list)
+    ec_cost = obs.q_x * f_ec * binary_entropy(obs.e_x)
+    rates = []
+    for kind, mu_out in attack_list:
+        privacy = _reference_privacy_factor(obs, kind, mu_out)
+        rates.append(0.0 if privacy is None
+                     else max(0.0, obs.q1 * privacy - ec_cost))
+    return rates
+
+
+def _bitwise_equal(got, want):
+    return len(got) == len(want) and all(
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+        for a, b in zip(got, want))
+
+
+def _privacy_grid(seed, count):
+    """(kind, mu_out, obs) cases: seeded draws of every kind, mu_out = 0,
+    Delta' and the USD conclusive fraction just below, at and just above
+    their limits, and a saturated phase error (e1 = 1/2)."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        e1 = rng.choice((0.0, 0.5, rng.uniform(0.0, 0.5)))
+        q_x, e_x, q1 = rng.random(), rng.uniform(0.0, 0.5), rng.random()
+        if rng.random() < 0.1:
+            q_x = q1 = 0.0
+
+        def obs(y1):
+            return LinkObservables(q_x, e_x, y1, e1, q1)
+
+        y1 = math.exp(rng.uniform(math.log(1e-7), 0.0))
+        mu = rng.choice((0.0, 10.0 ** rng.uniform(-10.0, 0.5)))
+        cases += [(kind, 0.0 if kind == "none" else mu, obs(y1))
+                  for kind in ATTACK_KINDS]
+        # A yield of exactly 2 Delta puts Delta' at 1/2, and a yield of
+        # exactly 1 - exp(-2 mu) the conclusive fraction at 1.
+        mu = 10.0 ** rng.uniform(-8.0, -1.0)
+        for kind, edge in (("general", 2.0 * coin_imbalance(mu)),
+                           ("usd", -math.expm1(-2.0 * mu))):
+            for y1 in (math.nextafter(edge, 1.0), edge,
+                       math.nextafter(edge, 0.0)):
+                cases.append((kind, mu, obs(y1)))
+    return cases
+
+
+class TestPrivacyFactorReference:
+    """attacks.privacy_factor, link_rates and rates_at against the
+    reference, bit for bit (sign of zero included)."""
+
+    CASES = _privacy_grid(33, 300)
+
+    def test_grid_reaches_every_edge(self):
+        vacuous = {kind for kind, mu, obs in self.CASES
+                   if _reference_privacy_factor(obs, kind, mu) is None}
+        zero_term = {kind for kind, mu, obs in self.CASES
+                     if _reference_privacy_factor(obs, kind, mu) == 0.0}
+        assert vacuous == {"general", "usd"}
+        assert zero_term == set(ATTACK_KINDS)
+
+    def test_privacy_factor(self):
+        for kind, mu, obs in self.CASES:
+            want = _reference_privacy_factor(obs, kind, mu)
+            want = 0.0 if want is None else want
+            got = privacy_factor(kind, mu, obs.e1, obs.y1)
+            assert _bitwise_equal([got], [want]), (kind, mu, obs)
+
+    def test_link_rates(self):
+        for kind, mu, obs in self.CASES:
+            pair = ((kind, mu),)
+            assert _bitwise_equal(link_rates(obs, 1.2, pair),
+                                  _reference_link_rates(obs, 1.2, pair)), (
+                kind, mu, obs)
+
+    @settings(max_examples=150)
+    @given(CHANNELS, SOURCES, LEAKAGES, st.floats(min_value=0.0, max_value=300.0))
+    def test_rates_at(self, channel, source, mu, length):
+        attack_list = [no_attack()] + [AttackModel(kind, mu)
+                                       for kind in ATTACK_KINDS[1:]]
+        want = _reference_link_rates(link_at(channel, source, length),
+                                     channel.f_ec, attack_list)
+        assert _bitwise_equal(rates_at(channel, source, attack_list, length),
+                              want)
