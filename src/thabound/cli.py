@@ -13,9 +13,11 @@ result.  All output is deterministic for a fixed config: floats are written
 with repr (shortest round-trip form) in CSV cells and with fixed-width
 formats in text reports.
 
-Each cmd_* function returns (exit code, stdout lines, {path: file text})
-and writes nothing; main writes the files, all or none, then stdout.  So a
-command that raises has written no file and printed nothing.
+Each cmd_* function returns (exit code, stdout lines, {path: text pieces})
+and writes nothing; main writes the files, all or none, then stdout.  A
+file's text is an iterable of str pieces: sweep's CSV is formatted as it is
+written, from rates computed before any file is opened.  So a command that
+raises has written no file and printed nothing.
 """
 
 # A stdlib module that only some subcommands use (json, random) is imported
@@ -47,6 +49,14 @@ from thabound.keyrate import (
     verify_convexity,
 )
 from thabound.numerics import positive
+
+# argparse passes its usage and error messages through gettext, whose lookup
+# imports locale in every process.  Printing them untranslated saves that
+# import's memory and time, and keeps the usage and error text the same bytes
+# whatever LANGUAGE, LC_* and LANG say.  These are the rules of
+# gettext.NullTranslations.
+argparse._ = str
+argparse.ngettext = lambda singular, plural, n: singular if n == 1 else plural
 
 SWEEP_CSV_HEADER = "length_km,mu_out,attack,source,rate"
 
@@ -185,25 +195,29 @@ def cmd_sweep(args: argparse.Namespace) -> tuple:
         raise ValueError(f"output {output_path!r} is also the gnuplot script "
                          "path; give the CSV another extension")
 
-    # Rates are evaluated length by length, all blocks at once, and written
-    # block by block; a zero rate is written as 0, not 0.0.
+    # Rates are evaluated length by length, all blocks at once, before any
+    # file is opened; the CSV is formatted block by block as it is written.
     lengths = sweep_lengths(args.l_min, args.l_max, args.step)
     rates_by_length = [rates_at(channel, source, blocks, length)
                        for length in lengths]
+    files = {output_path: _sweep_csv(blocks, source.label(), lengths,
+                                     rates_by_length),
+             script_path: (_gnuplot_script(output_path, blocks, source),)}
+    return 0, [f"wrote {output_path} ({len(blocks) * len(lengths)} rows)",
+               f"wrote {script_path}"], files
+
+
+def _sweep_csv(blocks: list[AttackModel], label: str, lengths: list[float],
+               rates_by_length: list[list[float]]):
+    """The sweep CSV, line by line; a zero rate is written 0, not 0.0."""
+    yield f"{SWEEP_CSV_HEADER}\n"
     length_cells = [_fmt(length) for length in lengths]
-    label = source.label()
-    rows = [SWEEP_CSV_HEADER]
     for index, attack in enumerate(blocks):
         attack_cells = f"{_fmt(attack.mu_out)},{attack.kind},{label}"
         for length_cell, rates in zip(length_cells, rates_by_length):
             rate = rates[index]
             rate_cell = _fmt(rate) if rate > 0.0 else "0"
-            rows.append(f"{length_cell},{attack_cells},{rate_cell}")
-
-    files = {output_path: "\n".join(rows) + "\n",
-             script_path: _gnuplot_script(output_path, blocks, source)}
-    return 0, [f"wrote {output_path} ({len(rows) - 1} rows)",
-               f"wrote {script_path}"], files
+            yield f"{length_cell},{attack_cells},{rate_cell}\n"
 
 
 def cmd_threshold(args: argparse.Namespace) -> tuple:
@@ -268,7 +282,7 @@ def cmd_budget(args: argparse.Namespace) -> tuple:
                 for entry in budgets
             ],
         }
-        files[args.output] = json.dumps(payload, indent=2) + "\n"
+        files[args.output] = (json.dumps(payload, indent=2) + "\n",)
     return 0, lines, files
 
 
@@ -468,18 +482,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _write_files(files: dict) -> None:
     """Write every file or none.
 
-    Each text goes to a temporary file beside its target, and the
-    temporaries replace their targets by rename only once all are written,
-    so a failed write leaves every target as it was.  A symbolic link is
-    followed, and an existing target keeps its mode.
+    Each value is an iterable of str pieces, written in order; a bare str
+    is one too, and is written one character at a time.  Each file goes to
+    a temporary file beside its target, and the temporaries replace their
+    targets by rename only once all are written, so a failed write (or a
+    value that raises) leaves every target as it was.  A symbolic link is
+    followed, and an existing target keeps its mode.  Two paths that
+    resolve to the same file are refused before anything is written.
     """
+    paths_by_target = {}
     for path in files:
         if os.path.exists(path) and not os.path.isfile(path):
             raise ValueError(f"output {path!r} exists and is not a regular file")
+        first = paths_by_target.setdefault(os.path.realpath(path), path)
+        if first != path:
+            raise ValueError(f"outputs {first!r} and {path!r} are the same file")
     renames = []
     try:
-        for path, text in files.items():
-            target = os.path.realpath(path)
+        for target, path in paths_by_target.items():
             temp = f"{target}.{os.getpid()}.tmp"
             try:
                 handle = open(temp, "x", encoding="utf-8", newline="\n")
@@ -488,7 +508,7 @@ def _write_files(files: dict) -> None:
                 raise type(exc)(exc.errno, exc.strerror, path) from None
             renames.append((temp, target))
             with handle:
-                handle.write(text)
+                handle.writelines(files[path])
             if os.path.exists(target):
                 os.chmod(temp, os.stat(target).st_mode & 0o7777)
         for temp, target in renames:

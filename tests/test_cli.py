@@ -1,5 +1,7 @@
 import argparse
+import errno
 import importlib
+import itertools
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -122,6 +125,22 @@ class TestSweepCommand:
         assert captured.out == ""
         assert "output 'fig3.gp' is also the gnuplot script path" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    def test_csv_is_not_held_whole_in_memory(self, tmp_path, capsys):
+        # The CSV is formatted line by line into its temporary file, so the
+        # peak holds the rates and one buffer, not the rows, the joined text
+        # and its encoded bytes at once.
+        out = tmp_path / "fig3.csv"
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--preset", "fig3", "--step", "0.02",
+                         "--output", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.startswith(
+            f"wrote {out} (50005 rows)\n")
+        assert peak < 2 * out.stat().st_size
 
     def test_default_grid_ends_at_200_km(self, tmp_path):
         out = tmp_path / "series.csv"
@@ -662,6 +681,45 @@ class TestWriteContract:
             cli._write_files({str(first): "new\n", str(second): "\ud800"})
         assert first.read_text() == "old\n"
         assert [path.name for path in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_csv_that_raises_partway_keeps_every_target(self, tmp_path,
+                                                        capsys, monkeypatch):
+        csv, script = tmp_path / "s.csv", tmp_path / "s.gp"
+        csv.write_bytes(b"old csv\n")
+        script.write_bytes(b"old script\n")
+        sweep_csv = cli._sweep_csv
+
+        def failing_csv(*args):
+            yield from itertools.islice(sweep_csv(*args), 3)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_sweep_csv", failing_csv)
+        assert main(["sweep", "--l-max", "2", "--output", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 28] No space left on device\n"
+        assert csv.read_bytes() == b"old csv\n"
+        assert script.read_bytes() == b"old script\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "s.csv", "s.gp"]
+
+    @pytest.mark.parametrize("existing", [b"keep\n", None], ids=["kept", "absent"])
+    def test_two_outputs_that_are_one_file(self, tmp_path, capsys, existing):
+        # Both would go through the same temporary file, whose name the
+        # error would give.
+        csv, script = tmp_path / "s.csv", tmp_path / "s.gp"
+        if existing is not None:
+            csv.write_bytes(existing)
+        script.symlink_to(csv.name)
+        assert main(["sweep", "--l-max", "2", "--output", str(csv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: outputs {str(csv)!r} and "
+                                f"{str(script)!r} are the same file\n")
+        expected = ["s.gp"] if existing is None else ["s.csv", "s.gp"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == expected
+        if existing is not None:
+            assert csv.read_bytes() == existing
 
     def test_replaces_through_a_link_and_keeps_the_mode(self, tmp_path):
         target, link = tmp_path / "data.csv", tmp_path / "link.csv"

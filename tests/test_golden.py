@@ -121,13 +121,18 @@ def test_every_traced_name_resolves():
         recorder.uninstall()
 
 
-def _import_cli_stderr(*flags: str) -> str:
-    """Standard error of `python FLAGS -X importtime -c "import thabound.cli"`."""
+def _importtime_stderr(*args: str, cwd=None) -> str:
+    """Standard error of `python -X importtime ARGS`, with src on the path."""
     src = str(pathlib.Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, *flags, "-X", "importtime", "-c", "import thabound.cli"],
-        env=env, capture_output=True, text=True, check=True).stderr
+    return subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=env, cwd=cwd, capture_output=True, text=True,
+                          check=True).stderr
+
+
+def _import_cli_stderr(*flags: str) -> str:
+    """Standard error of `python -X importtime FLAGS -c "import thabound.cli"`."""
+    return _importtime_stderr(*flags, "-c", "import thabound.cli")
 
 
 def test_cli_import_times_every_module():
@@ -136,11 +141,15 @@ def test_cli_import_times_every_module():
     assert [name for name in wanted if name not in found] == []
 
 
+def _loaded(stderr: str) -> set:
+    """Modules an -X importtime report names.  A run under -S leaves out
+    whatever the site's .pth files import."""
+    return {line.rpartition("|")[2].strip() for line in stderr.splitlines()}
+
+
 def _loaded_by_cli_import() -> set:
-    """Modules `import thabound.cli` loads.  -S keeps whatever the site's
-    .pth files import out of the set."""
-    return {line.rpartition("|")[2].strip()
-            for line in _import_cli_stderr("-S").splitlines()}
+    """Modules `import thabound.cli` loads."""
+    return _loaded(_import_cli_stderr("-S"))
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -153,3 +162,17 @@ def test_cli_import_loads_no_json_or_random():
     # Only threshold and budget --output write JSON and only convexity
     # draws random numbers, so each imports its module where it is used.
     assert {"json", "random"} & _loaded_by_cli_import() == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--l-max", "2"],
+    ["threshold", "--attack", "general:1e-6"],
+    ["budget", "--mu-out", "1e-6", "--photon-flux", "1e20", "--clock-hz", "1e9"],
+    ["lidt", "--preset", "conservative"],
+    ["convexity", "--pairs", "2"],
+], ids=lambda argv: argv[0])
+def test_cli_run_loads_no_locale(argv, tmp_path):
+    # argparse's messages are printed untranslated, so no gettext lookup
+    # imports locale.
+    stderr = _importtime_stderr("-S", "-m", "thabound", *argv, cwd=tmp_path)
+    assert "locale" not in _loaded(stderr)
