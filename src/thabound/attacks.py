@@ -8,13 +8,9 @@ three attack models, and the conclusive fraction of an intercept-resend
 strategy built on unambiguous state discrimination (USD).
 
 ``privacy_factor`` assembles these into the per-detection privacy term
-of each kind, the only way an attack enters the key rate.  Only
-``effective_imbalance`` and ``usd_conclusive_fraction`` can leave the
-validity domain of the bound (renormalized imbalance at or above 1/2,
-conclusive fraction at or above 1); they return ``None`` as an "insecure"
-sentinel, which ``privacy_factor`` maps to a zero term.  Inputs are taken
-as validated: mu_out by ``AttackModel`` where it enters the program (the
-searches make only valid ones), a positive yield by ``link_rates``.
+of each kind, the only way an attack enters the key rate.  Inputs are
+taken as validated: mu_out by ``AttackModel`` where it enters the program
+(the searches make only valid ones), a positive yield by ``link_rates``.
 """
 
 import math
@@ -76,23 +72,20 @@ def coin_imbalance(mu_out: float) -> float:
                   - math.expm1(-mu_out) * math.cos(mu_out))
 
 
-def effective_imbalance(delta: float, yield_min: float) -> float | None:
+def effective_imbalance(delta: float, yield_min: float) -> float:
     """Imbalance renormalized by the minimum yield: Delta' = Delta / yield.
 
-    Returns None (insecure) once Delta' reaches 1/2, where the phase-error
-    bound becomes vacuous.
+    The phase-error bound is vacuous once Delta' reaches 1/2;
+    ``privacy_factor`` decides that.
     """
-    delta_eff = delta / yield_min
-    if delta_eff >= 0.5:
-        return None
-    return delta_eff
+    return delta / yield_min
 
 
 def phase_error_general(e_y: float, delta_eff: float) -> float:
     """Phase error inflated by a general attack, from the Bloch-sphere bound.
 
     e' = e + 4 d (1-d) (1-2e) + 4 (1-2d) sqrt(d (1-d) e (1-e)) with
-    d = delta_eff < 1/2 (see effective_imbalance), clamped to 1/2 (larger
+    d = delta_eff < 1/2 (see privacy_factor), clamped to 1/2 (larger
     values carry no extra penalty).
     """
     d = delta_eff
@@ -114,38 +107,37 @@ def phase_error_passive(e_y: float, mu_out: float) -> float:
     return 0.5 * (1.0 - (1.0 - 2.0 * e_y) * math.exp(-2.0 * mu_out))
 
 
-def usd_conclusive_fraction(mu_out: float, yield_min: float) -> float | None:
+def usd_conclusive_fraction(mu_out: float, yield_min: float) -> float:
     """Fraction of detected events Eve resolves unambiguously.
 
     delta = (1 - exp(-2 mu_out)) / yield, from the Ivanovic-Dieks-Peres
     bound on discriminating the probe states, renormalized by the minimum
-    yield.  Returns None (insecure) once delta reaches 1.
+    yield.  The bound is vacuous once delta reaches 1; ``privacy_factor``
+    decides that.
     """
-    delta = -math.expm1(-2.0 * mu_out) / yield_min
-    if delta >= 1.0:
-        return None
-    return delta
+    return -math.expm1(-2.0 * mu_out) / yield_min
 
 
 def privacy_factor(kind: str, mu_out: float, e1: float, y1: float) -> float:
     """Per-detection privacy term of an attack, 1 - h(phase error).
 
-    e1 and y1 are the single-photon error rate and yield of the link.  The
-    term is 0.0 where the bound is vacuous (an imbalance or conclusive
-    fraction out of range), which makes that attack's rate zero.
+    e1 and y1 are the single-photon error rate and yield of the link.  This
+    is the one place that decides where the bound is vacuous: the term is
+    0.0 once the renormalized imbalance reaches 1/2 or the conclusive
+    fraction reaches 1, which makes that attack's rate zero.
     """
     if kind == NO_ATTACK:
         return 1.0 - binary_entropy(e1)
     if kind == GENERAL:
         delta_eff = effective_imbalance(coin_imbalance(mu_out), y1)
-        if delta_eff is None:
+        if delta_eff >= 0.5:
             return 0.0
         return 1.0 - binary_entropy(phase_error_general(e1, delta_eff))
     if kind == PASSIVE:
         return 1.0 - binary_entropy(phase_error_passive(e1, mu_out))
     # USD, the last kind AttackModel admits.
     conclusive = usd_conclusive_fraction(mu_out, y1)
-    if conclusive is None:
+    if conclusive >= 1.0:
         return 0.0
     ratio = min(0.5, phase_error_passive(e1, mu_out) / (1.0 - conclusive))
     return (1.0 - conclusive) * (1.0 - binary_entropy(ratio))

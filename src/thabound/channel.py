@@ -113,16 +113,16 @@ def transmittance(params: ChannelParams, length_km: float) -> float:
 
 
 def _single_photon_terms(params: ChannelParams, eta: float) -> tuple[float, float]:
-    """(Y1, e1) at transmission eta; (0, 1/2) when nothing ever clicks.
+    """(Y1, e1) at transmission eta.
 
     Y1 = eta + (1 - eta) p_dark and the error combines the optical error on
     detected photons with random dark counts:
-    e1 = (e_opt eta + (1 - eta) p_dark / 2) / Y1.
+    e1 = (e_opt eta + (1 - eta) p_dark / 2) / Y1.  When nothing clicks
+    (Y1 = 0, only eta = p_dark = 0) e1 is a placeholder 1/2 that no output
+    reads: ``keyrate.link_rates`` decides that such a link has no key.
     """
     y1 = eta + (1.0 - eta) * params.p_dark
     if y1 == 0.0:
-        # No detector clicks at all; the QBER is conventionally 1/2 (only
-        # the all-zero channel reaches this).
         return 0.0, 0.5
     e1 = (params.e_opt * eta + 0.5 * (1.0 - eta) * params.p_dark) / y1
     return y1, e1
@@ -145,15 +145,16 @@ def decoy_link(params: ChannelParams, length_km: float, s: float) -> LinkObserva
     e = (p_dark exp(-eta s) / 2 + e_opt (1 - exp(-eta s))) / Q.
     Single-photon yield and error are taken over exactly from the
     single-photon model (infinite-decoy limit) and the estimated
-    single-photon gain is s exp(-s) Y1.
+    single-photon gain is s exp(-s) Y1.  When Q = 0 the QBER is a
+    placeholder 1/2 that no output reads: ``keyrate.link_rates`` decides
+    that such a link has no key.
     """
     eta = transmittance(params, length_km)
     vac = math.exp(-eta * s)
     q_s = 1.0 - (1.0 - params.p_dark) * vac
     y1, e1 = _single_photon_terms(params, eta)
-    if q_s == 0.0:
-        return LinkObservables(0.0, 0.5, y1, e1, 0.0)
-    e_s = (0.5 * params.p_dark * vac + params.e_opt * (1.0 - vac)) / q_s
+    e_s = ((0.5 * params.p_dark * vac + params.e_opt * (1.0 - vac)) / q_s
+           if q_s else 0.5)
     q1 = s * math.exp(-s) * y1
     return LinkObservables(q_s, e_s, y1, e1, q1)
 

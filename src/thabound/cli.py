@@ -351,11 +351,10 @@ def cmd_convexity(args: argparse.Namespace) -> tuple:
     import random
     rng = random.Random(args.seed)
     sources = (single_photon(), decoy_state(0.5))
-    kinds = (attacks_mod.GENERAL, attacks_mod.PASSIVE, attacks_mod.USD)
     lines = []
     total = 0
     violations = 0
-    for kind in kinds:
+    for kind in attacks_mod.ATTACK_KINDS[1:]:
         for source in sources:
             bad = 0
             for index in range(args.pairs):
@@ -502,6 +501,10 @@ def _write_files(files: dict) -> None:
         for target, path in paths_by_target.items():
             temp = f"{target}.{os.getpid()}.tmp"
             try:
+                # A file here was left by a killed process with this pid, as
+                # no live one has it; "x" refuses a link made after removal.
+                if os.path.lexists(temp):
+                    os.remove(temp)
                 handle = open(temp, "x", encoding="utf-8", newline="\n")
             except OSError as exc:
                 # Name the output, not the temporary file.

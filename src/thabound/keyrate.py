@@ -80,9 +80,11 @@ def link_rates(obs: LinkObservables, f_ec: float,
     Each attack is an AttackModel or a plain (kind, mu_out) pair of values
     the program already knows to be valid.  The error-correction cost
     depends only on the link, so it is evaluated once; only the privacy
-    term is taken per attack.  Each rate is never negative.
+    term is taken per attack.  Each rate is never negative.  This is the
+    one place that decides a link with no detections (q_x = 0) has no key:
+    every rate is then 0.0, whatever the link's placeholder QBER.
     """
-    if obs.q1 == 0.0 and obs.q_x == 0.0:
+    if obs.q_x == 0.0:
         return [0.0] * len(attack_list)
     ec_cost = obs.q_x * f_ec * binary_entropy(obs.e_x)
     q1, e1, y1 = obs.q1, obs.e1, obs.y1

@@ -11,6 +11,7 @@ from thabound.attacks import (
     no_attack,
     phase_error_general,
     phase_error_passive,
+    privacy_factor,
     usd_conclusive_fraction,
 )
 
@@ -102,9 +103,18 @@ class TestEffectiveImbalance:
         assert effective_imbalance(0.01, 0.5) == pytest.approx(0.02, rel=1e-15)
 
     def test_vacuous_when_half_or_more(self):
-        assert effective_imbalance(0.3, 0.5) is None
-        assert effective_imbalance(0.25, 0.5) is None  # boundary is vacuous
+        # The helper returns the plain ratio past the limit too; the
+        # privacy term alone declares the bound vacuous there.
+        assert effective_imbalance(0.3, 0.5) == 0.6
+        assert effective_imbalance(0.25, 0.5) == 0.5
         assert effective_imbalance(0.2, 0.5) == pytest.approx(0.4, rel=1e-15)
+        mu = 1e-3
+        delta = coin_imbalance(mu)
+        # Delta' = 1/2 exactly, and 0.99, where the unguarded Bloch-sphere
+        # form would fall back to e' = 0.01 and credit a key.
+        for y1 in (2.0 * delta, delta / 0.99):
+            assert privacy_factor("general", mu, 0.01, y1) == 0.0, y1
+        assert privacy_factor("general", mu, 0.01, 100.0 * delta) > 0.0
 
     def test_zero_passes_through(self):
         assert effective_imbalance(0.0, 0.125) == 0.0
@@ -193,12 +203,16 @@ class TestUsdConclusiveFraction:
     def test_vacuous_when_everything_conclusive(self):
         # raw fraction 1.729 exceeds 1: the bound says Eve could
         # unambiguously read every detected pulse
-        assert usd_conclusive_fraction(1.0, 0.5) is None
+        assert usd_conclusive_fraction(1.0, 0.5) == pytest.approx(
+            -2.0 * math.expm1(-2.0), rel=1e-15)
+        assert privacy_factor("usd", 1.0, 0.01, 0.5) == 0.0
 
     def test_vacuous_at_exactly_one(self):
         # The yield equals 1 - exp(-2 mu), so delta is exactly 1.
         mu = 0.3
-        assert usd_conclusive_fraction(mu, -math.expm1(-2.0 * mu)) is None
+        y1 = -math.expm1(-2.0 * mu)
+        assert usd_conclusive_fraction(mu, y1) == 1.0
+        assert privacy_factor("usd", mu, 0.01, y1) == 0.0
 
     def test_matches_coherent_state_overlap(self):
         """Oracle: 1 - |<sqrt(mu)|-sqrt(mu)>|, the Ivanovic-Dieks-Peres bound.
@@ -219,4 +233,9 @@ class TestUsdConclusiveFraction:
            st.floats(min_value=1e-6, max_value=1.0))
     def test_in_unit_interval_or_vacuous(self, mu, y):
         out = usd_conclusive_fraction(mu, y)
-        assert out is None or 0.0 <= out < 1.0
+        assert out >= 0.0
+        privacy = privacy_factor("usd", mu, 0.01, y)
+        if out >= 1.0:
+            assert privacy == 0.0
+        else:
+            assert 0.0 <= privacy <= 1.0 - out

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from thabound import channel as channel_mod
+from thabound.attacks import ATTACK_KINDS, AttackModel, no_attack
 from thabound.channel import (
     ChannelParams,
     LinkObservables,
     SourceModel,
     decoy_link,
+    link_at,
     single_photon_link,
     transmittance,
 )
+from thabound.keyrate import rates_at
 
 # A module-level name for @given tests (function-scoped fixtures and
 # hypothesis don't mix).
@@ -140,10 +143,17 @@ class TestSinglePhotonLink:
         assert obs.e_x == obs.e1
 
     def test_dead_channel_convention(self):
+        # Nothing clicks: every yield and gain is 0 and so is every rate.
+        # keyrate.link_rates decides that; the QBERs are placeholders that
+        # no output reads, so they are not pinned here.
         dead = ChannelParams(0.2, 0.0, 0.01, 0.0, 1.2)
-        obs = single_photon_link(dead, 10.0)
-        assert obs.q_x == obs.y1 == obs.q1 == 0.0
-        assert obs.e_x == obs.e1 == 0.5
+        attack_list = [no_attack()] + [AttackModel(kind, 1e-3)
+                                       for kind in ATTACK_KINDS[1:]]
+        for source in (SourceModel("single_photon"), SourceModel("decoy", 0.5)):
+            obs = link_at(dead, source, 10.0)
+            assert obs.q_x == obs.y1 == obs.q1 == 0.0
+            assert rates_at(dead, source, attack_list, 10.0) == (
+                [0.0] * len(attack_list))
 
     @given(st.floats(min_value=0.0, max_value=400.0))
     def test_error_rate_bounded(self, length):

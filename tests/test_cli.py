@@ -721,6 +721,26 @@ class TestWriteContract:
         if existing is not None:
             assert csv.read_bytes() == existing
 
+    @pytest.mark.parametrize("stale", ["file", "link"])
+    def test_stale_temporary_of_this_pid_is_replaced(self, tmp_path, capsys,
+                                                     stale):
+        # A process killed mid-write, with the pid this one has now, left
+        # its temporary behind; a stale link is removed, not followed.
+        tmp_path = tmp_path.resolve()
+        csv, other = tmp_path / "s.csv", tmp_path / "other"
+        other.write_bytes(b"other\n")
+        temp = tmp_path / f"s.csv.{os.getpid()}.tmp"
+        if stale == "file":
+            temp.write_bytes(b"stale\n")
+        else:
+            temp.symlink_to(other.name)
+        assert main(["sweep", "--l-max", "2", "--output", str(csv)]) == 0
+        assert capsys.readouterr().err == ""
+        assert csv.read_text().splitlines()[0] == SWEEP_CSV_HEADER
+        assert other.read_bytes() == b"other\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "other", "s.csv", "s.gp"]
+
     def test_replaces_through_a_link_and_keeps_the_mode(self, tmp_path):
         target, link = tmp_path / "data.csv", tmp_path / "link.csv"
         target.write_text("old\n")

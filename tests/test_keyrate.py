@@ -9,7 +9,6 @@ from thabound.attacks import (
     ATTACK_KINDS,
     AttackModel,
     coin_imbalance,
-    effective_imbalance,
     no_attack,
     phase_error_general,
     phase_error_passive,
@@ -123,15 +122,28 @@ class TestRatesAt:
         assert together == alone
 
     def test_no_detections_gives_one_zero_per_attack(self):
-        # The one owner of "no detections": the attack formulas are never
-        # asked with a zero yield.  A decoy source goes through decoy_link's
-        # q_s == 0 branch; at 20,000 km eta underflows to 0.
+        # link_rates owns "no detections" (q_x == 0), so the attack
+        # formulas are never asked with a zero yield.  At 20,000 km eta
+        # underflows to 0.
         blind = ChannelParams(0.2, 0.0, 0.01, 0.0, 1.2)
         dark = ChannelParams(0.2, 0.125, 0.01, 0.0, 1.2)
         for channel, length in ((blind, 10.0), (dark, 20_000.0)):
             for source in (SP, DECOY):
                 assert rates_at(channel, source, self.ATTACKS, length) == (
                     [0.0] * len(self.ATTACKS)), (channel, source, length)
+
+    def test_no_detections_decide_alone(self):
+        # A link with a single-photon gain but no detections has no key.
+        # The decoy link makes one at 1,000 km without dark counts: eta s
+        # is below half an ulp of 1, so the signal gain rounds to 0 while
+        # q1 = s e^-s Y1 stays positive.
+        dark = ChannelParams(0.2, 0.125, 0.01, 0.0, 1.2)
+        far = decoy_link(dark, 1000.0, 0.5)
+        assert far.q_x == 0.0 < far.q1
+        pairs = [(kind, 0.0 if kind == "none" else 1e-4)
+                 for kind in ATTACK_KINDS]
+        for obs in (LinkObservables(0.0, 0.5, 1e-3, 0.01, 1e-3), far):
+            assert link_rates(obs, 1.2, pairs) == [0.0] * len(ATTACK_KINDS)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="length_km"):
@@ -381,7 +393,8 @@ def exact_threshold(channel, source, kind):
 
         def deficit(mu):
             conclusive = usd_conclusive_fraction(mu, obs.y1)
-            if conclusive is None:
+            if conclusive >= 1.0:
+                # Eve reads every detection: the bound is vacuous.
                 return math.inf
             ratio = min(0.5, phase_error_passive(obs.e1, mu) / (1.0 - conclusive))
             privacy = (1.0 - conclusive) * (1.0 - binary_entropy(ratio))
@@ -787,19 +800,20 @@ class TestConvexityNearThreshold:
 
 
 def _reference_privacy_factor(obs, kind, mu_out):
-    """Reference privacy term, written with the None sentinel of the
-    attack formulas where the bound is vacuous."""
+    """Reference privacy term, None where the bound is vacuous: the
+    renormalized imbalance at or above 1/2, or the USD conclusive fraction
+    at or above 1."""
     if kind == "none":
         return 1.0 - binary_entropy(obs.e1)
     if kind == "general":
-        delta_eff = effective_imbalance(coin_imbalance(mu_out), obs.y1)
-        if delta_eff is None:
+        delta_eff = coin_imbalance(mu_out) / obs.y1
+        if delta_eff >= 0.5:
             return None
         return 1.0 - binary_entropy(phase_error_general(obs.e1, delta_eff))
     if kind == "passive":
         return 1.0 - binary_entropy(phase_error_passive(obs.e1, mu_out))
-    conclusive = usd_conclusive_fraction(mu_out, obs.y1)
-    if conclusive is None:
+    conclusive = -math.expm1(-2.0 * mu_out) / obs.y1
+    if conclusive >= 1.0:
         return None
     e_phase = phase_error_passive(obs.e1, mu_out)
     ratio = min(0.5, e_phase / (1.0 - conclusive))
@@ -807,8 +821,9 @@ def _reference_privacy_factor(obs, kind, mu_out):
 
 
 def _reference_link_rates(obs, f_ec, attack_list):
-    """Reference rate step, mapping a None privacy term to a zero rate."""
-    if obs.q1 == 0.0 and obs.q_x == 0.0:
+    """Reference rate step: no key without detections, and a None privacy
+    term gives a zero rate."""
+    if obs.q_x == 0.0:
         return [0.0] * len(attack_list)
     ec_cost = obs.q_x * f_ec * binary_entropy(obs.e_x)
     rates = []
@@ -835,7 +850,9 @@ def _privacy_grid(seed, count):
         e1 = rng.choice((0.0, 0.5, rng.uniform(0.0, 0.5)))
         q_x, e_x, q1 = rng.random(), rng.uniform(0.0, 0.5), rng.random()
         if rng.random() < 0.1:
-            q_x = q1 = 0.0
+            # No detections; q1 is kept, as a decoy link whose gain
+            # underflows keeps it.
+            q_x = 0.0
 
         def obs(y1):
             return LinkObservables(q_x, e_x, y1, e1, q1)
