@@ -17,11 +17,11 @@ from thabound.channel import (
     single_photon,
 )
 from thabound.keyrate import (
-    RateQuery,
-    key_rate,
     max_distance,
     mu_out_threshold,
-    sweep_distance,
+    rate_at,
+    rates_at,
+    sweep_lengths,
     verify_convexity,
 )
 
@@ -30,14 +30,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackModel",
     "ChannelParams",
-    "RateQuery",
     "SourceModel",
     "decoy_state",
-    "key_rate",
     "max_distance",
     "mu_out_threshold",
     "no_attack",
+    "rate_at",
+    "rates_at",
     "single_photon",
-    "sweep_distance",
+    "sweep_lengths",
     "verify_convexity",
 ]

@@ -17,7 +17,8 @@ Each cmd_* function returns (exit code, stdout lines, {path: text pieces})
 and writes nothing; main writes the files, all or none, then stdout.  A
 file's text is an iterable of str pieces: sweep's CSV is formatted as it is
 written, from rates computed before any file is opened.  So a command that
-raises has written no file and printed nothing.
+raises has written no file and printed nothing.  main also sets argparse's
+messages untranslated, so importing the module changes nothing.
 """
 
 # A stdlib module that only some subcommands use (json, random) is imported
@@ -49,14 +50,6 @@ from thabound.keyrate import (
     verify_convexity,
 )
 from thabound.numerics import positive
-
-# argparse passes its usage and error messages through gettext, whose lookup
-# imports locale in every process.  Printing them untranslated saves that
-# import's memory and time, and keeps the usage and error text the same bytes
-# whatever LANGUAGE, LC_* and LANG say.  These are the rules of
-# gettext.NullTranslations.
-argparse._ = str
-argparse.ngettext = lambda singular, plural, n: singular if n == 1 else plural
 
 SWEEP_CSV_HEADER = "length_km,mu_out,attack,source,rate"
 
@@ -527,6 +520,12 @@ def _write_files(files: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # argparse's messages, untranslated by the rules of NullTranslations: a
+    # gettext lookup would import locale, and the text stays the same bytes
+    # whatever LANGUAGE, LC_* and LANG say.  Set before build_parser, as
+    # ArgumentParser.__init__ already calls _().
+    argparse._ = str
+    argparse.ngettext = lambda singular, plural, n: singular if n == 1 else plural
     if argv is None:
         argv = sys.argv[1:]
     # The first argument is the subcommand whenever it names one.

@@ -121,13 +121,17 @@ def test_every_traced_name_resolves():
         recorder.uninstall()
 
 
-def _importtime_stderr(*args: str, cwd=None) -> str:
-    """Standard error of `python -X importtime ARGS`, with src on the path."""
+def _python(*args: str, cwd=None, check=True) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh process, with src on the path."""
     src = str(pathlib.Path(__file__).parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-X", "importtime", *args],
-                          env=env, cwd=cwd, capture_output=True, text=True,
-                          check=True).stderr
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=check)
+
+
+def _importtime_stderr(*args: str, cwd=None) -> str:
+    """Standard error of `python -X importtime ARGS`, which must exit 0."""
+    return _python("-X", "importtime", *args, cwd=cwd).stderr
 
 
 def _import_cli_stderr(*flags: str) -> str:
@@ -164,15 +168,31 @@ def test_cli_import_loads_no_json_or_random():
     assert {"json", "random"} & _loaded_by_cli_import() == set()
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--l-max", "2"],
-    ["threshold", "--attack", "general:1e-6"],
-    ["budget", "--mu-out", "1e-6", "--photon-flux", "1e20", "--clock-hz", "1e9"],
-    ["lidt", "--preset", "conservative"],
-    ["convexity", "--pairs", "2"],
-], ids=lambda argv: argv[0])
-def test_cli_run_loads_no_locale(argv, tmp_path):
-    # argparse's messages are printed untranslated, so no gettext lookup
-    # imports locale.
-    stderr = _importtime_stderr("-S", "-m", "thabound", *argv, cwd=tmp_path)
-    assert "locale" not in _loaded(stderr)
+@pytest.mark.parametrize("argv, code", [
+    (["sweep", "--l-max", "2"], 0),
+    (["threshold", "--attack", "general:1e-6"], 0),
+    (["budget", "--mu-out", "1e-6", "--photon-flux", "1e20", "--clock-hz",
+      "1e9"], 0),
+    (["reflectivity", "--trace", str(DATA_DIR / "transmitter_peaks.csv"),
+      "--region", "0", "7"], 0),
+    (["lidt", "--preset", "conservative"], 0),
+    (["convexity", "--pairs", "2"], 0),
+    (["sweep", "--l-max", "nan"], 1),
+], ids=["sweep", "threshold", "budget", "reflectivity", "lidt", "convexity",
+        "usage-error"])
+def test_cli_run_loads_no_locale(argv, code, tmp_path):
+    # main prints argparse's messages untranslated, before any is built, so
+    # no gettext lookup imports locale, not even for a usage error.
+    run = _python("-X", "importtime", "-S", "-m", "thabound", *argv,
+                  cwd=tmp_path, check=False)
+    assert run.returncode == code, run.stderr[-500:]
+    assert "locale" not in _loaded(run.stderr)
+
+
+def test_cli_import_leaves_argparse_alone():
+    # Only main sets the untranslated messages, so a program that imports
+    # the module to call build_parser keeps argparse's translations.
+    run = _python("-c", "import argparse, gettext, thabound.cli; "
+                        "print(argparse._ is gettext.gettext, "
+                        "argparse.ngettext is gettext.ngettext)")
+    assert run.stdout == "True True\n"

@@ -15,6 +15,7 @@ from thabound.attacks import (
     privacy_factor,
     usd_conclusive_fraction,
 )
+import thabound
 from thabound import channel as channel_mod
 from thabound import keyrate
 from thabound.channel import (
@@ -279,6 +280,26 @@ class TestSweepDistance:
         with pytest.raises(ValueError, match=message):
             sweep_distance(CHANNEL, SP, no_attack(), 1e17, 1.0000000000001e17,
                            1.0)
+
+
+class TestPublicApi:
+    """`import thabound` exposes the kernel, not the second rate path."""
+
+    KERNEL = ["AttackModel", "ChannelParams", "SourceModel", "decoy_state",
+              "max_distance", "mu_out_threshold", "no_attack", "rate_at",
+              "rates_at", "single_photon", "sweep_lengths", "verify_convexity"]
+
+    def test_all_lists_the_kernel(self):
+        assert thabound.__all__ == self.KERNEL
+        assert [name for name in self.KERNEL
+                if not hasattr(thabound, name)] == []
+        assert thabound.rates_at is keyrate.rates_at
+
+    @pytest.mark.parametrize("name", ["RateQuery", "key_rate", "sweep_distance"])
+    def test_second_path_stays_in_keyrate(self, name):
+        # Kept in the submodule only as the benchmark's call targets.
+        assert not hasattr(thabound, name)
+        assert hasattr(keyrate, name)
 
 
 class TestThresholdSearch:
